@@ -14,9 +14,10 @@
 // at steady state: dense per-port scratch buffers instead of per-epoch maps
 // (see allocScratch), per-coflow live-flow caches maintained incrementally
 // as flows complete (see Coflow.BeginSim), and persistent priority orders
-// that are only re-sorted when membership or keys change. The pre-optimized
-// implementation is retained in internal/refsim and the two are pinned
-// bit-identical by the equivalence tests in internal/netsim.
+// that re-sort only the coflows that joined or whose key changed (see
+// orderState). The pre-optimized implementation is retained in
+// internal/refsim and the two are pinned bit-identical by the equivalence
+// tests in internal/netsim.
 package coflow
 
 import (
@@ -95,6 +96,12 @@ type simCache struct {
 	// is O(1) instead of O(ports touched).
 	moved, keyed, granted bool
 	blockEg, blockIn      int
+
+	// Priority-order membership (see orderState): ordStamp is the stamp of
+	// the last epoch whose order held this coflow (0: none), and reorder
+	// marks a re-keyed coflow whose key changed this epoch.
+	ordStamp uint64
+	reorder  bool
 }
 
 // BeginSim (re)builds the live-flow cache for a simulation over a fabric of
@@ -109,12 +116,23 @@ func (c *Coflow) BeginSim(ports int) {
 	c.sim.keyed = false
 	c.sim.granted = false
 	c.sim.blockEg, c.sim.blockIn = -1, -1
+	c.sim.ordStamp, c.sim.reorder = 0, false
+	// Size the caches to their bounds up front (live ≤ flows; a port set ≤
+	// min(ports, flows)) so neither the fill below nor Reactivate regrows
+	// them, and allocate each pair in one block.
+	if cap(c.sim.live) < len(c.Flows) {
+		c.sim.live = make([]*Flow, 0, len(c.Flows))
+	}
 	c.sim.live = c.sim.live[:0]
+	if n := min(ports, len(c.Flows)); cap(c.sim.egPorts) < n || cap(c.sim.inPorts) < n {
+		set := make([]int, 2*n)
+		c.sim.egPorts, c.sim.inPorts = set[:0:n], set[n:n]
+	}
 	c.sim.egPorts = c.sim.egPorts[:0]
 	c.sim.inPorts = c.sim.inPorts[:0]
 	if len(c.sim.egCnt) < ports {
-		c.sim.egCnt = make([]int, ports)
-		c.sim.inCnt = make([]int, ports)
+		cnt := make([]int, 2*ports)
+		c.sim.egCnt, c.sim.inCnt = cnt[:ports:ports], cnt[ports:]
 	} else {
 		for i := range c.sim.egCnt {
 			c.sim.egCnt[i] = 0
@@ -251,13 +269,22 @@ func (c *Coflow) Finished() bool {
 // New builds a coflow from flow volumes. Zero-size flows are dropped.
 func New(id int, name string, arrival float64, flows []Flow) *Coflow {
 	c := &Coflow{ID: id, Name: name, Arrival: arrival}
+	n := 0
 	for i := range flows {
-		f := flows[i]
+		if flows[i].Size > 0 {
+			n++
+		}
+	}
+	if n == 0 {
+		return c
+	}
+	c.Flows = make([]*Flow, 0, n)
+	for i := range flows {
+		f := &flows[i]
 		if f.Size <= 0 {
 			continue
 		}
-		nf := &Flow{ID: f.ID, Coflow: c, Src: f.Src, Dst: f.Dst, Size: f.Size, Remaining: f.Size}
-		c.Flows = append(c.Flows, nf)
+		c.Flows = append(c.Flows, &Flow{ID: f.ID, Coflow: c, Src: f.Src, Dst: f.Dst, Size: f.Size, Remaining: f.Size})
 	}
 	return c
 }
@@ -623,18 +650,18 @@ func activeFlows(active []*Coflow, s *allocScratch) []*Flow {
 // capacity, then backfills leftovers max-min fairly across all remaining
 // flows (work conservation, as in Varys).
 //
-// The serving order persists across epochs. Policies with static keys
-// (arrival time, width) re-sort only when the active-set membership changes;
+// The serving order persists across epochs (see orderState). Policies with
+// static keys (arrival time, width) key a coflow once, when it joins;
 // dynamic policies (Γ, remaining bytes) recompute keys once per epoch — not
-// once per comparison, as the pre-optimized code did — and rely on the
-// adaptive insertion sort to exploit the near-sorted order.
+// once per comparison, as the pre-optimized code did — and re-insert only
+// the coflows whose key changed.
 type orderedMADD struct {
 	name string
 	// key computes the coflow's priority (smaller serves first; ties break
 	// by coflow ID).
 	key func(c *Coflow, s *allocScratch) float64
 	// dynamic marks keys that drift as bytes move, forcing a per-epoch
-	// re-key + re-sort even with unchanged membership.
+	// re-key even with unchanged membership.
 	dynamic  bool
 	backfill bool
 
@@ -643,10 +670,6 @@ type orderedMADD struct {
 	// shard configures the Tier-2 intra-epoch parallelism (see shard.go);
 	// the zero value keeps every pass on the serial code path.
 	shard ShardOptions
-	// keyScratch holds one allocScratch per shard worker for the parallel
-	// re-key pass (key functions need private demand buffers). Nil until
-	// sharded re-keying actually runs.
-	keyScratch []allocScratch
 	// sparse holds the event-horizon bookkeeping (see sparse.go); its zero
 	// value keeps Allocate on the dense path above.
 	sparse sparseState
@@ -658,6 +681,13 @@ func (o *orderedMADD) Name() string { return o.name }
 // Allocate used (SEBF's Γ order, FIFO's arrival order, ...).
 func (o *orderedMADD) PriorityOrder() []*Coflow { return o.ord.order }
 
+func (o *orderedMADD) orderKey(c *Coflow, s *allocScratch) float64 { return o.key(c, s) }
+
+// sortOrder brings the serving order up to date for one epoch.
+func (o *orderedMADD) sortOrder(active []*Coflow) {
+	o.ord.update(active, o, orderMode{dynamic: o.dynamic, sparse: o.sparse.on}, &o.scratch, o.shard)
+}
+
 func (o *orderedMADD) Allocate(_ float64, active []*Coflow, egCap, inCap []float64) {
 	if o.sparse.on {
 		o.allocateSparse(active, egCap, inCap)
@@ -665,10 +695,7 @@ func (o *orderedMADD) Allocate(_ float64, active []*Coflow, egCap, inCap []float
 	}
 	resetRatesSharded(active, o.shard)
 	o.scratch.ensure(len(egCap))
-	if o.ord.sync(active) || o.dynamic {
-		o.rekeyOrder(len(egCap))
-		sortByKey(o.ord.order, false)
-	}
+	o.sortOrder(active)
 	for _, c := range o.ord.order {
 		maddAllocateSharded(c, egCap, inCap, &o.scratch, o.shard)
 	}
@@ -753,6 +780,13 @@ func (a *Aalo) Name() string { return "aalo-dclas" }
 // then arrival, then ID) the last Allocate served.
 func (a *Aalo) PriorityOrder() []*Coflow { return a.ord.order }
 
+func (a *Aalo) orderKey(c *Coflow, _ *allocScratch) float64 { return float64(a.queueOf(c)) }
+
+// sortOrder brings the queue order up to date for one epoch.
+func (a *Aalo) sortOrder(active []*Coflow) {
+	a.ord.update(active, a, orderMode{dynamic: true, sparse: a.sparse.on, tieArrival: true}, &a.scratch, a.shard)
+}
+
 // queueOf returns the priority queue index for a coflow.
 func (a *Aalo) queueOf(c *Coflow) int {
 	q := 0
@@ -764,9 +798,9 @@ func (a *Aalo) queueOf(c *Coflow) int {
 	return q
 }
 
-// Allocate implements Scheduler. The queue order persists across epochs and
-// is re-sorted only when membership changes or a coflow crosses a queue
-// threshold (queue index, then arrival, then ID is a strict total order).
+// Allocate implements Scheduler. The queue order persists across epochs;
+// only newcomers and coflows that crossed a queue threshold are re-inserted
+// (queue index, then arrival, then ID is a strict total order).
 func (a *Aalo) Allocate(_ float64, active []*Coflow, egCap, inCap []float64) {
 	if a.sparse.on {
 		a.allocateSparse(active, egCap, inCap)
@@ -774,16 +808,7 @@ func (a *Aalo) Allocate(_ float64, active []*Coflow, egCap, inCap []float64) {
 	}
 	resetRatesSharded(active, a.shard)
 	a.scratch.ensure(len(egCap))
-	resort := a.ord.sync(active)
-	for _, c := range a.ord.order {
-		if q := float64(a.queueOf(c)); q != c.schedKey {
-			c.schedKey = q
-			resort = true
-		}
-	}
-	if resort {
-		sortByKey(a.ord.order, true)
-	}
+	a.sortOrder(active)
 	for _, c := range a.ord.order {
 		maddAllocateSharded(c, egCap, inCap, &a.scratch, a.shard)
 	}

@@ -46,17 +46,14 @@ func (d *Deadline) Admitted(id int) bool { return d.state[id] == admitted }
 // the last Allocate served (admission runs down this list).
 func (d *Deadline) PriorityOrder() []*Coflow { return d.ord.order }
 
-// Allocate implements Scheduler. Arrival order is static per coflow, so the
-// serving order is re-sorted only when the active-set membership changes.
+func (d *Deadline) orderKey(c *Coflow, _ *allocScratch) float64 { return c.Arrival }
+
+// Allocate implements Scheduler. Arrival order is static per coflow, so only
+// newcomers are keyed and merged into the serving order.
 func (d *Deadline) Allocate(now float64, active []*Coflow, egCap, inCap []float64) {
 	resetRatesSharded(active, d.shard)
 	d.scratch.ensure(len(egCap))
-	if d.ord.sync(active) {
-		for _, c := range d.ord.order {
-			c.schedKey = c.Arrival
-		}
-		sortByKey(d.ord.order, false)
-	}
+	d.ord.update(active, d, orderMode{}, &d.scratch, d.shard)
 
 	for _, c := range d.ord.order {
 		if c.Deadline <= 0 {

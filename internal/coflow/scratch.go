@@ -12,7 +12,12 @@ package coflow
 // performs zero heap allocations — property-tested to be bit-identical to
 // the retained map-based implementation in internal/refsim.
 
-import "sync"
+import (
+	"cmp"
+	"slices"
+	"sync"
+	"sync/atomic"
+)
 
 // allocScratch holds the dense per-port buffers one scheduler needs for one
 // epoch. All slices are sized to the fabric's port count by ensure and are
@@ -63,65 +68,197 @@ func (s *allocScratch) ensure(n int) {
 // break. Get/Put is allocation-free at steady state.
 var scratchPool = sync.Pool{New: func() any { return new(allocScratch) }}
 
-// orderState keeps a scheduler's priority order alive across epochs so the
-// full active set is not re-copied (and, for static-key policies, not even
-// re-sorted) every epoch.
+// orderState keeps a scheduler's priority order alive across epochs and
+// maintains it incrementally. Each epoch (update) it
+//
+//  1. detects membership exactly with a per-epoch stamp: a coflow whose
+//     simCache stamp equals the order's previous stamp was served last
+//     epoch; every other active coflow is a newcomer. No two orders (and no
+//     two epochs) share a stamp (see nextStamp), and BeginSim zeroes a
+//     coflow's stamp so a coflow reused by the next run re-enters as new;
+//  2. re-keys the coflows whose key can have changed and collects the dirty
+//     set: the newcomers plus the members whose key actually changed. With
+//     no dirty coflow and no departure the order stands as it is;
+//  3. drops departed and dirty coflows from the order in one stable in-place
+//     compaction, sorts only the k dirty coflows, and
+//  4. merges them back into the untouched remainder in one linear pass into
+//     a reused double buffer.
+//
+// keyCmp is a strict total order and clean coflows keep their keys, so the
+// remainder is still sorted and the merge yields the unique sorted
+// permutation — the order a full re-sort would produce — in O(n + k log k)
+// per epoch instead of a full re-sort.
 type orderState struct {
 	order []*Coflow // the persistent, sorted serving order
-	prev  []*Coflow // last epoch's active set, for membership detection
+	spare []*Coflow // merge target; swapped with order after each merge
+	dirty []*Coflow // this epoch's newcomers and re-keyed coflows
+	stamp uint64    // membership stamp of the last epoch (0: none yet)
+	// keyScratch holds one allocScratch per shard worker for the parallel
+	// re-key pass (see rekeySharded). Nil until sharded re-keying runs.
+	keyScratch []allocScratch
 }
 
-// sync reports whether the active-set membership changed since the previous
-// epoch and, if it did, rebuilds both buffers from the current set. The
-// comparison is element-wise pointer identity: the simulator compacts its
-// active slice in place, so positions shift exactly when membership changes.
-func (st *orderState) sync(active []*Coflow) bool {
-	if len(st.prev) == len(active) {
-		same := true
-		for i, c := range active {
-			if st.prev[i] != c {
-				same = false
-				break
-			}
-		}
-		if same {
-			return false
+// orderStamps hands out membership stamps to every orderState in blocks of
+// stampBlock, so stamps are unique process-wide while concurrent simulations
+// touch the shared counter only once per stampBlock epochs.
+var orderStamps atomic.Uint64
+
+const stampBlock = 1 << 16
+
+// nextStamp returns the order's stamp for a new epoch.
+func (st *orderState) nextStamp() uint64 {
+	if st.stamp%stampBlock == 0 { // no block yet, or this one is used up
+		return orderStamps.Add(stampBlock) - stampBlock + 1
+	}
+	return st.stamp + 1
+}
+
+// A keyer computes one scheduler's priority key for a coflow (smaller
+// serves first), using s for any per-port demand buffers it needs.
+type keyer interface {
+	orderKey(c *Coflow, s *allocScratch) float64
+}
+
+// orderMode says how a scheduler's keys behave. dynamic keys drift as bytes
+// move, so every active coflow is re-keyed each epoch; static keys are
+// computed once, when a coflow joins the order. sparse reuses a coflow's
+// cached key until the engine marks it moved (see sparse.go). tieArrival
+// breaks key ties by arrival before ID.
+type orderMode struct {
+	dynamic, sparse, tieArrival bool
+}
+
+// update brings the order in line with the active set for one epoch (see
+// orderState). s must be ensured to the fabric; shard enables the parallel
+// re-key on the dense path.
+func (st *orderState) update(active []*Coflow, k keyer, mode orderMode, s *allocScratch, shard ShardOptions) {
+	next := st.nextStamp()
+	dirty := st.dirty[:0]
+	members := 0
+	for _, c := range active {
+		if st.stamp != 0 && c.sim.ordStamp == st.stamp {
+			c.sim.ordStamp = next
+			members++
+		} else {
+			dirty = append(dirty, c)
 		}
 	}
-	st.prev = append(st.prev[:0], active...)
-	st.order = append(st.order[:0], active...)
+	rekey := dirty
+	if mode.dynamic {
+		rekey = active
+	}
+	moved := st.rekey(rekey, k, mode.sparse, s, shard)
+	if len(dirty) == 0 && !moved && members == len(st.order) {
+		st.stamp = next // same members, same keys: the order stands
+		return
+	}
+
+	// Compact: keep the members confirmed above whose key did not change.
+	// Newcomers are not stamped yet, so a stale entry left from a previous
+	// run (or from another scheduler's epochs) is dropped with the departed.
+	clean := st.order[:0]
+	for _, c := range st.order {
+		switch {
+		case c.sim.ordStamp != next:
+		case c.sim.reorder:
+			dirty = append(dirty, c)
+		default:
+			clean = append(clean, c)
+		}
+	}
+	// Buffers never hold a coflow the order no longer serves, so a released
+	// coflow is not kept alive by a stale slot.
+	clear(st.order[len(clean):])
+	for _, c := range dirty {
+		c.sim.ordStamp, c.sim.reorder = next, false
+	}
+	st.stamp = next
+	if len(dirty) == 0 {
+		st.order = clean
+		return
+	}
+	byKey := cmpKey
+	if mode.tieArrival {
+		byKey = cmpKeyArrival
+	}
+	slices.SortFunc(dirty, byKey)
+	st.order = mergeSorted(st.spare[:0], clean, dirty, byKey)
+	clear(clean)
+	clear(dirty)
+	st.spare, st.dirty = clean[:0], dirty[:0]
+}
+
+// mergeSorted appends the merge of the sorted slices a and b to out. Each
+// element of b is placed by binary search in what remains of a, and the
+// runs of a in between are copied whole, so a handful of dirty coflows cost
+// O(k log n) comparisons plus one linear copy.
+func mergeSorted(out, a, b []*Coflow, byKey func(x, y *Coflow) int) []*Coflow {
+	for _, c := range b {
+		i, _ := slices.BinarySearchFunc(a, c, byKey)
+		out = append(out, a[:i]...)
+		out = append(out, c)
+		a = a[i:]
+	}
+	return append(out, a...)
+}
+
+// rekey recomputes the priority key of every coflow in cs, marking those
+// whose key changed for re-insertion, and reports whether any did. In
+// sparse mode a coflow whose cached key is still valid (keyed and not moved)
+// keeps it; the dense path shards the pass when configured (see
+// rekeySharded), which reports true without counting.
+func (st *orderState) rekey(cs []*Coflow, k keyer, sparse bool, s *allocScratch, shard ShardOptions) (moved bool) {
+	if !sparse && shard.Workers > 1 && len(cs) >= shard.minCoflows() {
+		st.rekeySharded(cs, k, len(s.egNeed), shard.Workers)
+		return true
+	}
+	for _, c := range cs {
+		if sparse {
+			if c.sim.keyed && !c.sim.moved {
+				continue
+			}
+			c.sim.moved, c.sim.keyed = false, true
+		}
+		if c.setKey(k.orderKey(c, s)) {
+			moved = true
+		}
+	}
+	return moved
+}
+
+// setKey stores the coflow's priority key and, when the key changed, marks
+// the coflow for re-insertion into the order and reports true.
+func (c *Coflow) setKey(k float64) bool {
+	if k == c.schedKey {
+		return false
+	}
+	c.schedKey = k
+	c.sim.reorder = true
 	return true
 }
 
-// keyLess is the shared order predicate: schedKey, then (optionally) arrival,
+// keyCmp is the shared order predicate: schedKey, then (optionally) arrival,
 // then ID. With unique coflow IDs this is a strict total order, so any
 // correct sort yields the same unique permutation the original
 // sort.SliceStable produced.
-func keyLess(a, b *Coflow, tieArrival bool) bool {
-	if a.schedKey != b.schedKey {
-		return a.schedKey < b.schedKey
+func keyCmp(a, b *Coflow, tieArrival bool) int {
+	switch {
+	case a.schedKey < b.schedKey:
+		return -1
+	case a.schedKey > b.schedKey:
+		return 1
+	case tieArrival && a.Arrival < b.Arrival:
+		return -1
+	case tieArrival && a.Arrival > b.Arrival:
+		return 1
 	}
-	if tieArrival && a.Arrival != b.Arrival {
-		return a.Arrival < b.Arrival
-	}
-	return a.ID < b.ID
+	return cmp.Compare(a.ID, b.ID)
 }
 
-// sortByKey insertion-sorts the order buffer by keyLess. Insertion sort is
-// deliberate: it allocates nothing (sort.Slice's reflect.Swapper does), and
-// the buffer is persistent across epochs, so it is almost always already
-// sorted or off by a few drifted keys — the adaptive O(n) case.
-func sortByKey(order []*Coflow, tieArrival bool) {
-	for i := 1; i < len(order); i++ {
-		c := order[i]
-		j := i - 1
-		for j >= 0 && keyLess(c, order[j], tieArrival) {
-			order[j+1] = order[j]
-			j--
-		}
-		order[j+1] = c
-	}
-}
+// cmpKey and cmpKeyArrival are keyCmp with the arrival tie-break off and on,
+// as named functions so passing them to the sort allocates nothing.
+func cmpKey(a, b *Coflow) int        { return keyCmp(a, b, false) }
+func cmpKeyArrival(a, b *Coflow) int { return keyCmp(a, b, true) }
 
 // insertionSortByArrival stable-sorts coflows by arrival time without
 // allocating (the simulator's admission queue; almost always already in

@@ -163,35 +163,26 @@ func resetRatesSharded(active []*Coflow, shard ShardOptions) {
 	})
 }
 
-// rekeyOrder recomputes every coflow's priority key, sharding over coflows
-// when configured: keys are per-coflow pure functions of that coflow's state
-// (Γ, remaining bytes, arrival, width), so each shard computes them with its
-// own allocScratch and the floats are exactly the serial ones.
-func (o *orderedMADD) rekeyOrder(ports int) {
-	order := o.ord.order
-	if o.shard.Workers > 1 && len(order) >= o.shard.minCoflows() {
-		w := o.shard.Workers
-		if len(o.keyScratch) < w {
-			old := o.keyScratch
-			o.keyScratch = make([]allocScratch, w)
-			for i := range old {
-				o.keyScratch[i] = old[i]
-			}
-		}
-		for i := 0; i < w; i++ {
-			o.keyScratch[i].ensure(ports)
-		}
-		parallel.ForShards(w, len(order), func(sh, lo, hi int) {
-			s := &o.keyScratch[sh]
-			for _, c := range order[lo:hi] {
-				c.schedKey = o.key(c, s)
-			}
-		})
-		return
+// rekeySharded is orderState.rekey's dense pass sharded over coflows: keys
+// are per-coflow pure functions of that coflow's state (Γ, remaining bytes,
+// arrival, width, queue index), so each shard computes them with its own
+// allocScratch and the floats are exactly the serial ones. Each coflow is
+// written by exactly one shard, re-insertion mark included.
+func (st *orderState) rekeySharded(cs []*Coflow, k keyer, ports, workers int) {
+	if len(st.keyScratch) < workers {
+		old := st.keyScratch
+		st.keyScratch = make([]allocScratch, workers)
+		copy(st.keyScratch, old)
 	}
-	for _, c := range order {
-		c.schedKey = o.key(c, &o.scratch)
+	for i := range st.keyScratch[:workers] {
+		st.keyScratch[i].ensure(ports)
 	}
+	parallel.ForShards(workers, len(cs), func(sh, lo, hi int) {
+		s := &st.keyScratch[sh]
+		for _, c := range cs[lo:hi] {
+			c.setKey(k.orderKey(c, s))
+		}
+	})
 }
 
 // maddAllocateSharded is maddAllocate with the τ reduction port-sharded and

@@ -12,10 +12,12 @@ package coflow
 //     was reactivated, a failure voided progress). A clean coflow's key is
 //     a pure function of unchanged state, so the cached float is the bit
 //     the dense re-key would have produced;
-//   - the persistent order is re-sorted only when membership changed or a
-//     recomputed key differs from its cached value. Sorting an
-//     already-sorted slice is the identity permutation, so skipping it is
-//     exact;
+//   - only coflows that joined or whose recomputed key differs from its
+//     cached value are re-inserted into the persistent order: they are
+//     sorted among themselves and merged into the untouched remainder
+//     (orderState.update). The remainder keeps its keys and so stays
+//     sorted, and the comparator is a strict total order, so the merge is
+//     the unique sorted permutation a full re-sort would produce;
 //   - a coflow whose port set touches a port with no residual capacity is
 //     skipped before demand accumulation: maddAllocate's blocked branch
 //     (the early break over the same port sets) has no state effects, so
@@ -153,29 +155,12 @@ func (o *orderedMADD) LastGrantDense() bool { return o.sparse.dense }
 
 // allocateSparse is the event-horizon variant of orderedMADD.Allocate:
 // same epoch structure, with the re-key restricted to moved coflows, the
-// sort to changed keys, the MADD pass skipping blocked coflows, and the
-// backfill skipped when provably a no-op.
+// MADD pass skipping blocked coflows, and the backfill skipped when
+// provably a no-op.
 func (o *orderedMADD) allocateSparse(active []*Coflow, egCap, inCap []float64) {
 	o.sparse.reset(active, o.shard)
 	o.scratch.ensure(len(egCap))
-	memb := o.ord.sync(active)
-	if memb || o.dynamic {
-		changed := memb
-		for _, c := range o.ord.order {
-			if c.sim.keyed && !c.sim.moved {
-				continue
-			}
-			k := o.key(c, &o.scratch)
-			c.sim.moved, c.sim.keyed = false, true
-			if k != c.schedKey {
-				c.schedKey = k
-				changed = true
-			}
-		}
-		if changed {
-			sortByKey(o.ord.order, false)
-		}
-	}
+	o.sortOrder(active)
 	anyBlocked := o.sparse.serve(o.ord.order, egCap, inCap, &o.scratch, o.shard)
 	if o.backfill && !anyBlocked {
 		waterFillSharded(activeFlows(active, &o.scratch), egCap, inCap, &o.scratch, o.shard)
@@ -195,21 +180,7 @@ func (a *Aalo) LastGrantDense() bool { return a.sparse.dense }
 func (a *Aalo) allocateSparse(active []*Coflow, egCap, inCap []float64) {
 	a.sparse.reset(active, a.shard)
 	a.scratch.ensure(len(egCap))
-	resort := a.ord.sync(active)
-	for _, c := range a.ord.order {
-		if c.sim.keyed && !c.sim.moved {
-			continue
-		}
-		q := float64(a.queueOf(c))
-		c.sim.moved, c.sim.keyed = false, true
-		if q != c.schedKey {
-			c.schedKey = q
-			resort = true
-		}
-	}
-	if resort {
-		sortByKey(a.ord.order, true)
-	}
+	a.sortOrder(active)
 	anyBlocked := a.sparse.serve(a.ord.order, egCap, inCap, &a.scratch, a.shard)
 	if !anyBlocked {
 		waterFillSharded(activeFlows(active, &a.scratch), egCap, inCap, &a.scratch, a.shard)

@@ -178,6 +178,7 @@ type Streamer struct {
 	now      float64
 	id       int
 	total    int
+	flows    []coflow.Flow // genCoflow's draw buffer; coflow.New copies out of it
 }
 
 // Stream validates cfg and returns a Streamer over the scaled trace. At
@@ -246,13 +247,14 @@ func (st *Streamer) Next() (*coflow.Coflow, bool) {
 	default:
 		cat = LW
 	}
-	c := genCoflow(&st.g, st.id, st.now, cat, st.machines)
+	c := st.genCoflow(cat)
 	st.id++
 	return c, true
 }
 
-// genCoflow draws a single coflow of the given category.
-func genCoflow(g *gen, id int, arrival float64, cat Category, machines int) *coflow.Coflow {
+// genCoflow draws the stream's next coflow, of the given category.
+func (st *Streamer) genCoflow(cat Category) *coflow.Coflow {
+	g, machines := &st.g, st.machines
 	maxWidth := machines * (machines - 1)
 	width := 0
 	var loMB, hiMB float64
@@ -272,14 +274,15 @@ func genCoflow(g *gen, id int, arrival float64, cat Category, machines int) *cof
 	case LN, LW:
 		loMB, hiMB = ShortFlowMB, 1000
 	}
-	var flows []coflow.Flow
+	flows := st.flows[:0]
 	for f := 0; f < width; f++ {
 		src := g.intn(machines)
 		dst := (src + 1 + g.intn(machines-1)) % machines
 		sz := g.pareto(loMB, hiMB, 1.1) * 1e6
 		flows = append(flows, coflow.Flow{ID: f, Src: src, Dst: dst, Size: sz})
 	}
-	return coflow.New(id, fmt.Sprintf("%s-%d", cat, id), arrival, flows)
+	st.flows = flows
+	return coflow.New(st.id, fmt.Sprintf("%s-%d", cat, st.id), st.now, flows)
 }
 
 func min(a, b int) int {

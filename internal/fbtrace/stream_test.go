@@ -2,6 +2,7 @@ package fbtrace
 
 import (
 	"math"
+	"runtime"
 	"testing"
 )
 
@@ -128,5 +129,38 @@ func TestStreamValidation(t *testing.T) {
 	}
 	if _, err := Stream(good); err != nil {
 		t.Errorf("baseline rejected: %v", err)
+	}
+}
+
+// TestStreamNextAllocations pins what one streamed coflow costs the heap:
+// the coflow, its name, its flow-pointer slice and one object per flow. The
+// draw buffer is reused across Next calls and the pointer slice is sized
+// exactly, so neither regrows per coflow; a trace replay's garbage-collection
+// load (and with it its host-time spread) scales with these allocations.
+func TestStreamNextAllocations(t *testing.T) {
+	st, err := Stream(Config{Machines: 16, Coflows: 400, MeanInterarrivalSec: 0.001, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 100 { // let the draw buffer reach its working size
+		st.Next()
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	coflows, flows := 0, 0
+	for {
+		c, ok := st.Next()
+		if !ok {
+			break
+		}
+		coflows++
+		flows += len(c.Flows)
+	}
+	runtime.ReadMemStats(&after)
+	// Per coflow: the Coflow, the pointer slice, and at most two for the
+	// name; the slack covers the draw buffer growing to a wider coflow.
+	const slack = 16
+	if got, limit := after.Mallocs-before.Mallocs, uint64(flows+4*coflows+slack); got > limit {
+		t.Errorf("streaming %d coflows (%d flows) made %d allocations, want at most %d", coflows, flows, got, limit)
 	}
 }

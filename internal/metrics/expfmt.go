@@ -80,7 +80,10 @@ func (s *series) write(bw *bufio.Writer, f *family) error {
 		if err := sample(bw, f.name+"_sum", s.key, formatFloat(h.Sum())); err != nil {
 			return err
 		}
-		return sample(bw, f.name+"_count", s.key, formatUint(h.Count()))
+		// _count is the +Inf bucket read above, not a second load of the
+		// counter: observations landing mid-scrape would otherwise make the
+		// two disagree, which the exposition format forbids.
+		return sample(bw, f.name+"_count", s.key, formatUint(cum))
 	}
 	return nil
 }

@@ -151,6 +151,26 @@ func TestSteadyStateRunZeroAllocs(t *testing.T) {
 			}); avg != 0 {
 				t.Fatalf("sub-threshold sharded RunInto allocated %v allocs/op", avg)
 			}
+
+			// Same contract on the event-horizon loop, for the schedulers
+			// that support it: the sparse admission queue, the incremental
+			// priority order and the sparse grant bookkeeping all reuse
+			// their buffers across runs.
+			if _, ok := sc.mk().(coflow.SparseAllocator); !ok {
+				return
+			}
+			hzSim := netsim.NewSimulator(fab, sc.mk())
+			hzSim.EventHorizon = true
+			if err := hzSim.RunInto(cfs, &rep); err != nil {
+				t.Fatal(err)
+			}
+			if avg := testing.AllocsPerRun(10, func() {
+				if err := hzSim.RunInto(cfs, &rep); err != nil {
+					t.Fatal(err)
+				}
+			}); avg != 0 {
+				t.Fatalf("steady-state event-horizon RunInto allocated %v allocs/op", avg)
+			}
 		})
 	}
 }
@@ -167,11 +187,14 @@ func TestSessionAdvanceZeroAllocs(t *testing.T) {
 		t.Skip("race detector perturbs allocation counts")
 	}
 	scheds := []struct {
-		name string
-		mk   func() coflow.Scheduler
+		name    string
+		mk      func() coflow.Scheduler
+		horizon bool // drive the event-horizon loop
 	}{
-		{"varys", coflow.NewVarys},
-		{"aalo", func() coflow.Scheduler { return coflow.NewAalo() }},
+		{"varys", coflow.NewVarys, false},
+		{"aalo", func() coflow.Scheduler { return coflow.NewAalo() }, false},
+		{"varys-event-horizon", coflow.NewVarys, true},
+		{"aalo-event-horizon", func() coflow.Scheduler { return coflow.NewAalo() }, true},
 	}
 	for _, sc := range scheds {
 		t.Run(sc.name, func(t *testing.T) {
@@ -182,6 +205,7 @@ func TestSessionAdvanceZeroAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 			sim := netsim.NewSimulator(fab, sc.mk())
+			sim.EventHorizon = sc.horizon
 			eg, in := make([]int64, n), make([]int64, n)
 			cycle := func() {
 				ses, err := sim.Session()

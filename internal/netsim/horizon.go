@@ -146,10 +146,13 @@ func (ss *Session) loopSparse(stop float64) error {
 	heap := &sc.horizon
 
 	now := ss.now
-	pending, active, liveFlows := ss.pending, ss.active, ss.live
+	// The loop pops admissions off the front of pending; save records them
+	// in ss.head rather than reslicing ss.pending, so the queue keeps its
+	// front capacity (see Session.stage).
+	pending, active, liveFlows := ss.pending[ss.head:], ss.active, ss.live
 	events, nextFail := ss.events, ss.nextFail
 	save := func() {
-		ss.now, ss.pending, ss.active, ss.live = now, pending, active, liveFlows
+		ss.now, ss.head, ss.active, ss.live = now, len(ss.pending)-len(pending), active, liveFlows
 		ss.events, ss.nextFail = events, nextFail
 	}
 

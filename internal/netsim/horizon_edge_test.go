@@ -172,6 +172,62 @@ func TestEventHorizonAdvanceBoundaries(t *testing.T) {
 	}
 }
 
+// TestEventHorizonInterleavedAdmits stages coflows between Advance stops,
+// so new arrivals join a sparse admission queue whose front has already been
+// admitted (the queue's slide-back path in Session.stage), and demands the
+// dense session's Digest at every rung and its final report.
+func TestEventHorizonInterleavedAdmits(t *testing.T) {
+	for _, pair := range schedPairs {
+		t.Run(pair.name, func(t *testing.T) {
+		seeds:
+			for seed := int64(300); seed < 308; seed++ {
+				spec := randomSpec(rand.New(rand.NewSource(seed)), pair.deadlines)
+				spec.deps = nil
+				spec.horizon = 0
+				fab := spec.fabric(t)
+				tag := fmt.Sprintf("%s/seed=%d", pair.name, seed)
+				var sessions [2]*netsim.Session
+				var cfs [2][]*coflow.Coflow
+				for i, horizon := range []bool{false, true} {
+					sim := netsim.NewSimulator(fab, pair.prod())
+					sim.Events = spec.events
+					sim.EventHorizon = horizon
+					ss, err := sim.Session()
+					if err != nil {
+						t.Fatal(err)
+					}
+					sessions[i], cfs[i] = ss, spec.build()
+				}
+				stops := []float64{0.3, 1.0, 1.7, 2.5, 4.9, 7.3, 11.1, 20.0, 60.0}
+				for rung, stop := range stops {
+					var errs [2]error
+					for i, ss := range sessions {
+						n := len(cfs[i])
+						for _, c := range cfs[i][rung*n/len(stops) : (rung+1)*n/len(stops)] {
+							if err := ss.Admit(c); err != nil {
+								t.Fatal(err)
+							}
+						}
+						errs[i] = ss.Advance(stop)
+					}
+					if (errs[0] != nil) != (errs[1] != nil) {
+						t.Fatalf("%s: Advance(%v) error mismatch: dense=%v sparse=%v", tag, stop, errs[0], errs[1])
+					}
+					if errs[0] != nil {
+						continue seeds // both stalled identically mid-ladder
+					}
+					if d, s := sessions[0].Digest(), sessions[1].Digest(); d != s {
+						t.Fatalf("%s: Digest diverged at stop=%v: dense=%x sparse=%x", tag, stop, d, s)
+					}
+				}
+				denseRep, denseErr := sessions[0].Finish()
+				sparseRep, sparseErr := sessions[1].Finish()
+				compareRuns(t, tag, &spec, cfs[1], cfs[0], sparseRep, denseRep, sparseErr, denseErr)
+			}
+		})
+	}
+}
+
 // TestEventHorizonReleaseCompleted streams enough coflows through a sparse
 // session that the completed-coflow compaction provably triggers, then
 // checks the report against a dense run that retains everything: same CCTs,

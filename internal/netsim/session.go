@@ -65,6 +65,7 @@ type Session struct {
 	now      float64
 	iter     int // event-loop iterations consumed, bounded by MaxEpochs
 	pending  []*coflow.Coflow
+	head     int // sparse loop: pending[:head] is already admitted (see stage)
 	active   []*coflow.Coflow
 	live     []*coflow.Flow // flat non-done flows of the active coflows
 	all      []*coflow.Coflow
@@ -306,8 +307,17 @@ func (ss *Session) stage(c *coflow.Coflow) {
 	// Insert into the arrival-sorted admission queue; per-item insertion of a
 	// stable sort is itself stable, so batch admission (RunInto) and
 	// streaming admission order ties identically.
+	// The sparse loop pops admissions by advancing head, so the queue keeps
+	// its front capacity. Once the admitted prefix is at least as long as
+	// the queue, slide the queue back to the front: amortized O(1) per
+	// coflow, and admitted coflows are not kept reachable indefinitely.
+	if ss.head > 0 && 2*ss.head >= len(ss.pending) {
+		n := copy(ss.pending, ss.pending[ss.head:])
+		clear(ss.pending[n:])
+		ss.pending, ss.head = ss.pending[:n], 0
+	}
 	p := append(ss.pending, c)
-	for i := len(p) - 1; i > 0 && p[i].Arrival < p[i-1].Arrival; i-- {
+	for i := len(p) - 1; i > ss.head && p[i].Arrival < p[i-1].Arrival; i-- {
 		p[i], p[i-1] = p[i-1], p[i]
 	}
 	ss.pending = p
