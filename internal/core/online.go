@@ -18,7 +18,9 @@ package core
 //     alive across the whole stream: each Submit advances the live
 //     simulation to the job's arrival, reads the backlog in place, places,
 //     and admits the new coflow into the same session. Total simulator work
-//     is O(J) over J jobs with zero per-arrival cloning.
+//     is O(J) over J jobs with zero per-arrival cloning, and the backlog
+//     read and the engine's memory scale with the jobs in flight, not with
+//     J: finished coflows leave the session as digest tombstones.
 //   - RunOnlineReference (the frozen reference) re-simulates the entire
 //     admitted history from t=0 with a horizon for every arrival — O(J²)
 //     simulator work and a deep clone per arrival. It exists to pin the
@@ -140,7 +142,7 @@ type OnlineEngine struct {
 	n        int
 	sim      *netsim.Simulator
 	ses      *netsim.Session
-	jobs     []*coflow.Coflow // one per submitted job, in submission order
+	jobs     int // submitted jobs; job i is coflow i of the session
 	lastArr  float64
 	egB, inB []int64 // reusable backlog buffers
 	batch    *Batch  // reusable batch handle (BeginBatch)
@@ -160,6 +162,9 @@ func NewOnlineEngine(nodes int, opts OnlineOptions) (*OnlineEngine, error) {
 	sim := netsim.NewSimulator(fabric, netSched)
 	sim.Failures = opts.Failures
 	sim.Retransmit = opts.Retransmit
+	// Finished coflows leave the session as tombstones, so the engine holds
+	// only live state; Failures need the full coflow set and keep it.
+	sim.ReleaseCompleted = len(opts.Failures) == 0
 	ses, err := sim.Session()
 	if err != nil {
 		return nil, err
@@ -181,7 +186,7 @@ func (e *OnlineEngine) Submit(job OnlineJob) (*OnlineDecision, error) {
 
 // Batch shares one backlog snapshot across the co-optimized placement
 // probes of an admission batch. The first probing job at a given arrival
-// pays the full O(flows) BacklogInto scan; followers at the same arrival
+// pays the BacklogInto scan over the live flows; followers at the same arrival
 // copy the cached snapshot, incrementally extended with each admitted
 // coflow's own volumes (exact int64 additions — identical to re-probing).
 // Decisions stay byte-identical to sequential Submit calls: every job still
@@ -260,7 +265,7 @@ func (e *OnlineEngine) submit(job OnlineJob, bp *Batch) (*OnlineDecision, error)
 	if e.finished {
 		return nil, errors.New("core: online engine already finished")
 	}
-	ji := len(e.jobs)
+	ji := e.jobs
 	if job.Workload == nil {
 		return nil, fmt.Errorf("core: online job %d has no workload", ji)
 	}
@@ -294,14 +299,14 @@ func (e *OnlineEngine) submit(job OnlineJob, bp *Batch) (*OnlineDecision, error)
 	}
 
 	dec := &OnlineDecision{Job: ji}
-	if e.opts.CoOptimize && !job.PlacementOnly && len(e.jobs) > 0 {
+	if e.opts.CoOptimize && !job.PlacementOnly && e.jobs > 0 {
 		// What does the network look like when this job arrives? Advance
 		// the one live simulation from the previous arrival and read the
 		// outstanding bytes per port in place. The advance always runs —
 		// even mid-batch at an unchanged arrival it retires just-finished
 		// coflows on exactly the boundaries the sequential path does — but
 		// a batch handle with a snapshot for this arrival replaces the
-		// O(flows) BacklogInto rescan with a copy.
+		// BacklogInto scan over the live flows with a copy.
 		if err := e.ses.Advance(job.Arrival); err != nil {
 			return nil, fmt.Errorf("core: online job %d: backlog probe: %w", ji, err)
 		}
@@ -353,7 +358,7 @@ func (e *OnlineEngine) submit(job OnlineJob, bp *Batch) (*OnlineDecision, error)
 	if bp != nil {
 		bp.noteAdmitted(cf, job.Arrival)
 	}
-	e.jobs = append(e.jobs, cf)
+	e.jobs++
 	dec.Placement = pl
 	return dec, nil
 }
@@ -369,21 +374,18 @@ func (e *OnlineEngine) Finish() (*OnlineReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &OnlineReport{CCTs: make([]float64, len(e.jobs)), Makespan: rep.Makespan}
-	for ji, cf := range e.jobs {
-		cct, ok := rep.CCTs[cf.ID]
-		if !ok {
-			// A job with no remote bytes completes instantly.
-			cct = 0
-		}
+	out := &OnlineReport{CCTs: make([]float64, e.jobs), Makespan: rep.Makespan}
+	for ji := range out.CCTs {
+		// A job with no remote bytes completes instantly: CCT 0.
+		cct := rep.CCTs[ji]
 		out.CCTs[ji] = cct
 		out.AvgCCT += cct
 		if cct > out.MaxCCT {
 			out.MaxCCT = cct
 		}
 	}
-	if len(e.jobs) > 0 {
-		out.AvgCCT /= float64(len(e.jobs))
+	if e.jobs > 0 {
+		out.AvgCCT /= float64(e.jobs)
 	}
 	return out, nil
 }
@@ -394,7 +396,7 @@ func (e *OnlineEngine) Finish() (*OnlineReport, error) {
 func (e *OnlineEngine) Clock() float64 { return e.lastArr }
 
 // JobCount returns the number of jobs admitted so far.
-func (e *OnlineEngine) JobCount() int { return len(e.jobs) }
+func (e *OnlineEngine) JobCount() int { return e.jobs }
 
 // CompletedJobs returns how many admitted jobs had finished their transfers
 // the last time the live session advanced (only the co-optimized path moves
@@ -417,7 +419,7 @@ func (e *OnlineEngine) BacklogInto(egress, ingress []int64) error {
 // byte-identical to the one that wrote the snapshot.
 func (e *OnlineEngine) StateDigest() uint64 {
 	d := e.ses.Digest()
-	d ^= 0x9e3779b97f4a7c15 * uint64(len(e.jobs))
+	d ^= 0x9e3779b97f4a7c15 * uint64(e.jobs)
 	d = (d << 7) | (d >> 57)
 	d ^= math.Float64bits(e.lastArr)
 	return d

@@ -4,9 +4,9 @@ package core
 // source (e.g. fbtrace.Stream) without ever materialising the workload as a
 // slice. Each pulled coflow advances the session to its arrival and admits
 // it, so the resident set is the in-flight coflows plus at most one pending
-// arrival; with EventHorizon + ReleaseCompleted the session also drops
-// coflows as they finish, keeping memory bounded by the *concurrency* of the
-// trace rather than its length. That is what lets the Facebook trace replay
+// arrival; with ReleaseCompleted the session also drops coflows as they
+// finish, keeping memory bounded by the *concurrency* of the trace rather
+// than its length. That is what lets the Facebook trace replay
 // at 1000× density inside CI.
 //
 // Advancing to each arrival is exact: arrivals bound the dense loop's epochs
@@ -36,8 +36,8 @@ type ReplayOptions struct {
 	Scheduler coflow.Scheduler
 	// EventHorizon runs the sparse session loop (netsim.Simulator).
 	EventHorizon bool
-	// ReleaseCompleted drops finished coflows from the live session; only
-	// effective with EventHorizon and a sparse-capable scheduler.
+	// ReleaseCompleted drops finished coflows from the live session
+	// (netsim.Simulator.ReleaseCompleted); the report is unchanged.
 	ReleaseCompleted bool
 }
 

@@ -190,22 +190,30 @@ func TestSessionAdvanceZeroAllocs(t *testing.T) {
 		name    string
 		mk      func() coflow.Scheduler
 		horizon bool // drive the event-horizon loop
+		release bool // ReleaseCompleted, over enough coflows to sweep
 	}{
-		{"varys", coflow.NewVarys, false},
-		{"aalo", func() coflow.Scheduler { return coflow.NewAalo() }, false},
-		{"varys-event-horizon", coflow.NewVarys, true},
-		{"aalo-event-horizon", func() coflow.Scheduler { return coflow.NewAalo() }, true},
+		{"varys", coflow.NewVarys, false, false},
+		{"aalo", func() coflow.Scheduler { return coflow.NewAalo() }, false, false},
+		{"varys-event-horizon", coflow.NewVarys, true, false},
+		{"aalo-event-horizon", func() coflow.Scheduler { return coflow.NewAalo() }, true, false},
+		{"varys-release", coflow.NewVarys, false, true},
 	}
 	for _, sc := range scheds {
 		t.Run(sc.name, func(t *testing.T) {
 			const n = 16
-			cfs := staggered(t, n, 24)
+			ncf := 24
+			if sc.release {
+				ncf = 96
+			}
+			cfs := staggered(t, n, ncf)
 			fab, err := netsim.NewFabric(n, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
 			sim := netsim.NewSimulator(fab, sc.mk())
 			sim.EventHorizon = sc.horizon
+			sim.ReleaseCompleted = sc.release
+			minKept := ncf
 			eg, in := make([]int64, n), make([]int64, n)
 			cycle := func() {
 				ses, err := sim.Session()
@@ -222,12 +230,16 @@ func TestSessionAdvanceZeroAllocs(t *testing.T) {
 					if err := ses.Admit(c); err != nil {
 						t.Fatal(err)
 					}
+					minKept = min(minKept, ses.AdmittedCount())
 				}
 				if _, err := ses.Finish(); err != nil {
 					t.Fatal(err)
 				}
 			}
 			cycle() // warm the scratch and the session buffers
+			if sc.release && minKept == ncf {
+				t.Fatal("no coflow was released; the variant measures nothing")
+			}
 			if avg := testing.AllocsPerRun(10, cycle); avg != 0 {
 				t.Fatalf("steady-state session cycle allocated %v allocs/op", avg)
 			}

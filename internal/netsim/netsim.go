@@ -187,13 +187,13 @@ type Simulator struct {
 	// coflow.SparseAllocator and for runs without Deps (anything else falls
 	// back to the dense loop). See DESIGN.md §16.
 	EventHorizon bool
-	// ReleaseCompleted lets an event-horizon session drop completed coflows
-	// from its admitted list so streamed replays run in bounded memory:
-	// after release, BacklogInto and Digest cover only retained coflows and
-	// the CCT aggregates are summed in coflow-ID order (per-coflow results
-	// stay in Report.CCTs either way). Only takes effect in sparse sessions;
-	// incompatible with Failures (recovery accounting needs the full coflow
-	// population at the end of the run).
+	// ReleaseCompleted lets a session drop completed coflows so streamed
+	// replays and long-running engines hold only live state: each released
+	// coflow leaves a small tombstone in admission order, so Digest, the
+	// Report and every CCT are bit-identical with release on or off, while
+	// AdmittedCount counts only the retained coflows. Applies to both the
+	// dense and the sparse loop; incompatible with Failures (recovery
+	// accounting needs the full coflow population at the end of the run).
 	ReleaseCompleted bool
 
 	// scratch holds the per-run buffers so repeated Runs (parameter sweeps,
@@ -330,7 +330,7 @@ func (s *Simulator) RunInto(coflows []*coflow.Coflow, rep *Report) error {
 	if err := ss.latch(ss.loop(math.Inf(1))); err != nil {
 		return err
 	}
-	ss.finalize(coflows)
+	ss.finalize()
 	return nil
 }
 
@@ -407,13 +407,14 @@ func (s *Simulator) applyPortDown(tr failTransition, now float64, active []*cofl
 // finalizeFailures fills the recovery fields of each outcome after the run:
 // whether every sized flow touching the port finished, and how long after
 // the down edge the last one did.
-func finalizeFailures(rep *Report, coflows []*coflow.Coflow) {
+// Failures exclude release, so every admission still holds its coflow.
+func finalizeFailures(rep *Report, all []admission) {
 	for i := range rep.Failures {
 		out := &rep.Failures[i]
 		recovered := true
 		var ttr float64
-		for _, c := range coflows {
-			for _, f := range c.Flows {
+		for _, a := range all {
+			for _, f := range a.c.Flows {
 				if f.Size <= 0 || (f.Src != out.Port && f.Dst != out.Port) {
 					continue
 				}
@@ -468,6 +469,13 @@ func sortEventsByTime(events []CapacityEvent) {
 func PortBacklog(n int, coflows []*coflow.Coflow) (egress, ingress []int64) {
 	egress = make([]int64, n)
 	ingress = make([]int64, n)
+	addBacklog(egress, ingress, coflows)
+	return egress, ingress
+}
+
+// addBacklog adds the rounded remaining bytes of the coflows' unfinished
+// flows to the per-port sums.
+func addBacklog(egress, ingress []int64, coflows []*coflow.Coflow) {
 	for _, c := range coflows {
 		for _, f := range c.Flows {
 			if f.Done {
@@ -478,7 +486,6 @@ func PortBacklog(n int, coflows []*coflow.Coflow) (egress, ingress []int64) {
 			ingress[f.Dst] += r
 		}
 	}
-	return egress, ingress
 }
 
 // BandwidthModelCCT computes the closed-form single-coflow CCT of the

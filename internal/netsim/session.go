@@ -47,7 +47,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"ccf/internal/coflow"
 )
@@ -67,8 +66,9 @@ type Session struct {
 	pending  []*coflow.Coflow
 	head     int // sparse loop: pending[:head] is already admitted (see stage)
 	active   []*coflow.Coflow
-	live     []*coflow.Flow // flat non-done flows of the active coflows
-	all      []*coflow.Coflow
+	live     []*coflow.Flow  // flat non-done flows of the active coflows
+	all      []admission     // every admitted coflow, in admission order
+	kept     []int           // indices into all of the retained coflows
 	events   []CapacityEvent // unapplied suffix of the sorted event schedule
 	nextFail int
 	haveFail bool
@@ -82,14 +82,21 @@ type Session struct {
 	// Deps. The loop then dispatches to loopSparse (horizon.go).
 	sparse bool
 	sa     coflow.SparseAllocator
-	// release mirrors Simulator.ReleaseCompleted for this session; released
-	// counts coflows dropped from `all`, and relWeights retains completed
-	// coflows' weights for the finalize aggregates (their CCTs live on in
-	// rep.CCTs). relWeights storage is reused across sessions; the flag, not
-	// the map, gates releasing.
-	release    bool
-	released   int
-	relWeights map[int]float64
+	// release mirrors Simulator.ReleaseCompleted for this session; retired
+	// counts coflows completed since the last release sweep.
+	release bool
+	retired int
+}
+
+// admission is one admitted coflow as Digest and finalize see it: the
+// coflow itself while retained, or, once ReleaseCompleted drops it, a
+// tombstone holding everything its completed state contributes to either —
+// its Remaining = +0 and Done flows need only be counted.
+type admission struct {
+	c *coflow.Coflow // nil once released
+	// Tombstone fields, set at release.
+	id, flows                   int
+	arrival, completion, weight float64
 }
 
 // Session begins a resumable simulation session on the simulator, abandoning
@@ -118,14 +125,14 @@ func (ss *Session) begin(s *Simulator, rep *Report) error {
 	ports := s.fabric.Ports
 	sc := &s.scratch
 	*ss = Session{
-		s:          s,
-		ownRep:     ss.ownRep,
-		pending:    ss.pending[:0],
-		active:     ss.active[:0],
-		live:       ss.live[:0],
-		all:        ss.all[:0],
-		relWeights: ss.relWeights,
-		begun:      true,
+		s:       s,
+		ownRep:  ss.ownRep,
+		pending: ss.pending[:0],
+		active:  ss.active[:0],
+		live:    ss.live[:0],
+		all:     ss.all[:0],
+		kept:    ss.kept[:0],
+		begun:   true,
 	}
 	if rep == nil {
 		rep = &ss.ownRep
@@ -202,15 +209,8 @@ func (ss *Session) begin(s *Simulator, rep *Report) error {
 		ss.sparse = false
 	}
 	ss.release = s.ReleaseCompleted
-	if ss.release {
-		if len(s.Failures) > 0 {
-			return errors.New("netsim: ReleaseCompleted is incompatible with Failures (recovery accounting needs the full coflow set)")
-		}
-		if ss.relWeights == nil {
-			ss.relWeights = make(map[int]float64)
-		} else {
-			clear(ss.relWeights)
-		}
+	if ss.release && len(s.Failures) > 0 {
+		return errors.New("netsim: ReleaseCompleted is incompatible with Failures (recovery accounting needs the full coflow set)")
 	}
 	if s.Probe != nil && len(sc.probeEg) < ports {
 		sc.probeEg = make([]float64, ports)
@@ -303,7 +303,8 @@ func (ss *Session) stage(c *coflow.Coflow) {
 	c.Completed = false
 	c.SentBytes = 0
 	c.BeginSim(ss.s.fabric.Ports)
-	ss.all = append(ss.all, c)
+	ss.kept = append(ss.kept, len(ss.all))
+	ss.all = append(ss.all, admission{c: c})
 	// Insert into the arrival-sorted admission queue; per-item insertion of a
 	// stable sort is itself stable, so batch admission (RunInto) and
 	// streaming admission order ties identically.
@@ -377,16 +378,17 @@ func (ss *Session) Finish() (*Report, error) {
 	if err := ss.latch(ss.loop(math.Inf(1))); err != nil {
 		return nil, err
 	}
-	ss.finalize(ss.all)
+	ss.finalize()
 	return ss.rep, nil
 }
 
 // Now returns the session's current simulation time.
 func (ss *Session) Now() float64 { return ss.now }
 
-// AdmittedCount returns how many coflows have been admitted to the session
-// (pending, active, or completed).
-func (ss *Session) AdmittedCount() int { return len(ss.all) }
+// AdmittedCount returns how many admitted coflows the session retains:
+// pending, active, or completed but not yet released (see
+// Simulator.ReleaseCompleted). Without release it counts every admission.
+func (ss *Session) AdmittedCount() int { return len(ss.kept) }
 
 // CompletedCount returns how many admitted coflows have completed so far.
 func (ss *Session) CompletedCount() int {
@@ -401,6 +403,8 @@ func (ss *Session) CompletedCount() int {
 // bytes, done flags, completion state). Two sessions that took the same
 // admissions and boundary stops digest identically; the service layer uses
 // this to prove a snapshot-restored engine resumed byte-identical state.
+// Released coflows hash from their tombstones to the same bits, so the
+// digest does not depend on ReleaseCompleted.
 func (ss *Session) Digest() uint64 {
 	const (
 		offset64 = 0xcbf29ce484222325
@@ -416,7 +420,21 @@ func (ss *Session) Digest() uint64 {
 	}
 	mix(math.Float64bits(ss.now))
 	mix(uint64(len(ss.all)))
-	for _, c := range ss.all {
+	for i := range ss.all {
+		a := &ss.all[i]
+		c := a.c
+		if c == nil {
+			mix(uint64(a.id))
+			mix(math.Float64bits(a.arrival))
+			mix(1)
+			mix(math.Float64bits(a.completion))
+			mix(uint64(a.flows))
+			for range a.flows {
+				mix(0) // Remaining: +0
+				mix(1) // Done
+			}
+			continue
+		}
 		mix(uint64(c.ID))
 		mix(math.Float64bits(c.Arrival))
 		if c.Completed {
@@ -444,10 +462,16 @@ func (ss *Session) Digest() uint64 {
 func (ss *Session) Report() *Report { return ss.rep }
 
 // BacklogInto writes the per-port remaining bytes of every unfinished flow
-// the session knows about — admitted, in flight, or still queued — into the
-// caller's slices (len == fabric ports), the in-place equivalent of
-// PortBacklog. This is the network state the online co-optimizer feeds to
-// placement as the initial-load term v⁰.
+// the session knows about — in flight or still queued — into the caller's
+// slices (len == fabric ports), the in-place equivalent of PortBacklog over
+// every admitted coflow. This is the network state the online co-optimizer
+// feeds to placement as the initial-load term v⁰.
+//
+// The scan covers only live state, the active coflows and the un-admitted
+// queue, so its cost does not grow with the length of the run. That is
+// exact: a retired coflow has only Done flows (failure edges reactivate
+// flows of active coflows only), and the sums are integers, so the order
+// they are added in cannot change them.
 func (ss *Session) BacklogInto(egress, ingress []int64) error {
 	if !ss.begun {
 		return errors.New("netsim: session not started (obtain one from Simulator.Session)")
@@ -462,16 +486,8 @@ func (ss *Session) BacklogInto(egress, ingress []int64) error {
 	for p := 0; p < ports; p++ {
 		egress[p], ingress[p] = 0, 0
 	}
-	for _, c := range ss.all {
-		for _, f := range c.Flows {
-			if f.Done {
-				continue
-			}
-			r := int64(f.Remaining + 0.5)
-			egress[f.Src] += r
-			ingress[f.Dst] += r
-		}
-	}
+	addBacklog(egress, ingress, ss.active)
+	addBacklog(egress, ingress, ss.pending[ss.head:]) // the dense loop keeps head at 0
 	return nil
 }
 
@@ -583,6 +599,7 @@ func (ss *Session) loop(stop float64) error {
 						return err
 					}
 					rep.CCTs[c.ID] = cct
+					ss.retired++
 					if s.Probe != nil {
 						s.Probe.CoflowCompleted(now, c)
 					}
@@ -592,6 +609,9 @@ func (ss *Session) loop(stop float64) error {
 			liveCF = append(liveCF, c)
 		}
 		active = liveCF
+		if ss.release {
+			ss.releaseCompleted()
+		}
 
 		if hz >= 0 && now >= hz-1e-12 {
 			now = hz
@@ -775,24 +795,24 @@ func (ss *Session) loop(stop float64) error {
 }
 
 // finalize fills the aggregate report fields from the session's end state:
-// makespan, CCT aggregates summed in the given coflow order (input order for
-// RunInto, admission order for Finish — deterministic either way), failure
-// recovery outcomes, and the probe's EndRun.
-func (ss *Session) finalize(coflows []*coflow.Coflow) {
+// makespan, CCT aggregates summed in admission order (RunInto admits in
+// input order; tombstones stand in for released coflows), failure recovery
+// outcomes, and the probe's EndRun.
+func (ss *Session) finalize() {
 	rep := ss.rep
 	rep.Makespan = ss.now
-	if ss.released > 0 {
-		ss.finalizeReleased()
-		return
-	}
 	var wsum float64
-	for _, c := range coflows {
-		cct, ok := rep.CCTs[c.ID]
+	for i := range ss.all {
+		a := &ss.all[i]
+		id, w := a.id, a.weight
+		if c := a.c; c != nil {
+			id, w = c.ID, c.EffectiveWeight()
+		}
+		cct, ok := rep.CCTs[id]
 		if !ok {
 			continue
 		}
 		rep.AvgCCT += cct
-		w := c.EffectiveWeight()
 		rep.WeightedAvgCCT += w * cct
 		wsum += w
 		if cct > rep.MaxCCT {
@@ -806,7 +826,7 @@ func (ss *Session) finalize(coflows []*coflow.Coflow) {
 		rep.WeightedAvgCCT /= wsum
 	}
 	if ss.haveFail {
-		finalizeFailures(rep, coflows)
+		finalizeFailures(rep, ss.all)
 	}
 	if ss.s.Probe != nil {
 		ss.s.Probe.EndRun(ss.now)
@@ -814,41 +834,38 @@ func (ss *Session) finalize(coflows []*coflow.Coflow) {
 	ss.finished = true
 }
 
-// finalizeReleased aggregates a session that dropped completed coflows under
-// ReleaseCompleted: the coflow objects are gone, so the CCT sums run over
-// rep.CCTs in ascending coflow-ID order (deterministic, and equal to the
-// input-order sum whenever IDs are assigned in arrival order — the trace
-// replay convention) with the weights retained at release time. Failures are
-// excluded from released sessions at begin, so no recovery pass runs.
-func (ss *Session) finalizeReleased() {
-	rep := ss.rep
-	ids := make([]int, 0, len(rep.CCTs))
-	for id := range rep.CCTs {
-		ids = append(ids, id)
+// releaseCompleted replaces completed coflows in the admission list with
+// tombstones once they make up more than half of the retained set
+// (amortized O(1) per coflow), so the session no longer pins them or their
+// flows. A completed coflow whose flows would not hash as (+0, Done) — a
+// negative- or -0-size flow admitted through the generic API — stays
+// retained, keeping Digest independent of release.
+func (ss *Session) releaseCompleted() {
+	if ss.retired <= 32 || ss.retired <= len(ss.kept)/2 {
+		return
 	}
-	sort.Ints(ids)
-	var wsum float64
-	for _, id := range ids {
-		cct := rep.CCTs[id]
-		rep.AvgCCT += cct
-		w, ok := ss.relWeights[id]
-		if !ok {
-			w = 1
+	ss.retired = 0
+	w := 0
+	for _, i := range ss.kept {
+		a := &ss.all[i]
+		if c := a.c; c.Completed && settled(c) {
+			*a = admission{id: c.ID, flows: len(c.Flows), arrival: c.Arrival,
+				completion: c.Completion, weight: c.EffectiveWeight()}
+			continue
 		}
-		rep.WeightedAvgCCT += w * cct
-		wsum += w
-		if cct > rep.MaxCCT {
-			rep.MaxCCT = cct
+		ss.kept[w] = i
+		w++
+	}
+	ss.kept = ss.kept[:w]
+}
+
+// settled reports whether every flow of c is Done with Remaining = +0, the
+// per-flow state a tombstone stands for.
+func settled(c *coflow.Coflow) bool {
+	for _, f := range c.Flows {
+		if !f.Done || math.Float64bits(f.Remaining) != 0 {
+			return false
 		}
 	}
-	if len(ids) > 0 {
-		rep.AvgCCT /= float64(len(ids))
-	}
-	if wsum > 0 {
-		rep.WeightedAvgCCT /= wsum
-	}
-	if ss.s.Probe != nil {
-		ss.s.Probe.EndRun(ss.now)
-	}
-	ss.finished = true
+	return true
 }
