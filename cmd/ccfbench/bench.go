@@ -6,12 +6,10 @@ package main
 // trajectory is comparable across PRs without parsing `go test -bench` text.
 //
 // Besides the per-scheduler SteadyStateRun rows, the file carries a cores
-// axis: SweepThroughput/cores=C measures Tier-1 parallelism (a fixed batch
+// axis: SweepThroughput/cores=C measures sweep parallelism (a fixed batch
 // of independent runs through the worker pool, one warm simulator per
-// worker) and ShardedRun/cores=C measures Tier-2 parallelism (one large
-// fabric run with the MADD/water-filling passes sharded over C goroutines).
-// Both report speedup_vs_serial against their own cores=1 row, measured on
-// this machine — CI validates the JSON shape, not the speedup, because
+// worker) and reports speedup_vs_serial against its cores=1 row, measured
+// on this machine — CI validates the JSON shape, not the speedup, because
 // small shared runners can't promise scaling.
 
 import (
@@ -35,7 +33,7 @@ type benchResult struct {
 	EpochsPerRun int     `json:"epochs_per_run"`
 	EpochsPerSec float64 `json:"epochs_per_sec"`
 	// Cores and SpeedupVsSerial are set only on the cores-axis rows
-	// (SweepThroughput, ShardedRun); the SteadyStateRun rows keep their
+	// (SweepThroughput); the SteadyStateRun rows keep their
 	// original shape.
 	Cores           int     `json:"cores,omitempty"`
 	SpeedupVsSerial float64 `json:"speedup_vs_serial,omitempty"`
@@ -147,7 +145,7 @@ func steadyStateRows() ([]benchResult, error) {
 	return results, nil
 }
 
-// sweepThroughputRows measures Tier-1 parallelism: a fixed batch of
+// sweepThroughputRows measures sweep parallelism: a fixed batch of
 // independent simulator runs dispatched through the worker pool, each worker
 // keeping one warm simulator and one private coflow set. The op is the whole
 // batch, so ns/op shrinking with cores is the pool's wall-clock win.
@@ -214,56 +212,7 @@ func sweepThroughputRows(workers int) ([]benchResult, error) {
 	return results, nil
 }
 
-// shardedRunRows measures Tier-2 parallelism: one simulator run on a large
-// fabric (benchPorts ports, benchCoflows coflows of benchPorts/2 flows each)
-// with the MADD/water-filling passes sharded over C goroutines. The shard
-// thresholds are forced low so the sharded code path runs at every size this
-// flag can select — the output is bit-identical either way, so the row
-// isolates the sharding cost/benefit. allocs/op is recorded deliberately:
-// the sharded path allocates only grow-once scratch, so a warm run should
-// stay near the serial path's zero.
-func shardedRunRows(workers, benchPorts, ncf int) ([]benchResult, error) {
-	cfs := benchCoflows(benchPorts, ncf)
-	var results []benchResult
-	var serialNs float64
-	for _, cores := range coresAxis(workers) {
-		fab, err := netsim.NewFabric(benchPorts, 0)
-		if err != nil {
-			return nil, err
-		}
-		sim := netsim.NewSimulator(fab, coflow.NewVarys())
-		sim.ShardWorkers = cores
-		sim.ShardMinPorts = 2
-		sim.ShardMinFlows = 2
-		var rep netsim.Report
-		if err := sim.RunInto(cfs, &rep); err != nil { // warm scratch + shard buffers
-			return nil, err
-		}
-		epochs := rep.Epochs
-		r, nsOp, err := benchRun(func() error { return sim.RunInto(cfs, &rep) })
-		if err != nil {
-			return nil, err
-		}
-		if cores == 1 {
-			serialNs = nsOp
-		}
-		res := benchResult{
-			Name:            fmt.Sprintf("ShardedRun/cores=%d", cores),
-			NsPerOp:         nsOp,
-			AllocsPerOp:     r.AllocsPerOp(),
-			BytesPerOp:      r.AllocedBytesPerOp(),
-			EpochsPerRun:    epochs,
-			EpochsPerSec:    float64(epochs) * 1e9 / nsOp,
-			Cores:           cores,
-			SpeedupVsSerial: serialNs / nsOp,
-		}
-		results = append(results, res)
-		printBenchRow(res)
-	}
-	return results, nil
-}
-
-func netsimBench(path string, workers, benchPorts, benchCoflows int) error {
+func netsimBench(path string, workers int) error {
 	results, err := steadyStateRows()
 	if err != nil {
 		return err
@@ -273,11 +222,6 @@ func netsimBench(path string, workers, benchPorts, benchCoflows int) error {
 		return err
 	}
 	results = append(results, sweepRows...)
-	shardRows, err := shardedRunRows(workers, benchPorts, benchCoflows)
-	if err != nil {
-		return err
-	}
-	results = append(results, shardRows...)
 	data, err := json.MarshalIndent(results, "", "  ")
 	if err != nil {
 		return err

@@ -50,10 +50,8 @@ func main() {
 		seeds      = flag.Int("seeds", 32, "fault schedules for the chaos experiment")
 		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "worker goroutines for sweep-style experiments "+
 			"(1 = serial; results are identical at any value, figure sweeps may hold ~120 MB per worker at paper scale)")
-		benchPorts   = flag.Int("benchports", 1024, "fabric ports for the netsim-bench sharded-run rows")
-		benchCoflows = flag.Int("benchcoflows", 64, "coflows for the netsim-bench sharded-run rows (each carries ports/2 flows)")
-		cpuprofile   = flag.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
-		memprofile   = flag.String("memprofile", "", "write a heap profile to this file at exit (go tool pprof)")
+		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
+		memprofile = flag.String("memprofile", "", "write a heap profile to this file at exit (go tool pprof)")
 
 		serviceJSON   = flag.String("servicejson", "BENCH_service.json", "output path for the service-load experiment's JSON")
 		serviceDir    = flag.String("servicedir", "", "state directory for the service-load pool (empty = fresh temp dir)")
@@ -76,7 +74,7 @@ func main() {
 	flag.Parse()
 	chartPanels = *chart
 
-	if err := validateBenchFlags(*exp, *scale, *bandwidth, *seeds, *onlineJobs, *workers, *benchPorts, *benchCoflows); err != nil {
+	if err := validateBenchFlags(*exp, *scale, *bandwidth, *seeds, *onlineJobs, *workers); err != nil {
 		fmt.Fprintln(os.Stderr, "ccfbench:", err)
 		os.Exit(2)
 	}
@@ -162,7 +160,7 @@ func main() {
 	// meter and failure-model experiments, not paper figures).
 	if *exp == "netsim-bench" {
 		fmt.Println("netsim steady-state benchmarks (simulator hot path):")
-		if err := netsimBench(*benchJSON, *workers, *benchPorts, *benchCoflows); err != nil {
+		if err := netsimBench(*benchJSON, *workers); err != nil {
 			fmt.Fprintf(os.Stderr, "ccfbench: netsim-bench: %v\n", err)
 			os.Exit(1)
 		}
@@ -250,7 +248,7 @@ func validateTraceFlags(traceJSON string, machines, coflows int, denseMax float6
 
 // validateBenchFlags rejects nonsensical knob values with a one-line message
 // before any experiment starts.
-func validateBenchFlags(exp string, scale, bw float64, seeds, onlineJobs, workers, benchPorts, benchCoflows int) error {
+func validateBenchFlags(exp string, scale, bw float64, seeds, onlineJobs, workers int) error {
 	if !knownExperiments[exp] {
 		return fmt.Errorf("unknown experiment %q (see -exp in -help)", exp)
 	}
@@ -268,12 +266,6 @@ func validateBenchFlags(exp string, scale, bw float64, seeds, onlineJobs, worker
 	}
 	if workers < 1 {
 		return fmt.Errorf("-workers must be at least 1, got %d", workers)
-	}
-	if benchPorts < 2 {
-		return fmt.Errorf("-benchports must be at least 2, got %d", benchPorts)
-	}
-	if benchCoflows < 1 {
-		return fmt.Errorf("-benchcoflows must be positive, got %d", benchCoflows)
 	}
 	return nil
 }

@@ -516,110 +516,142 @@ func maddAllocate(c *Coflow, egCap, inCap []float64, s *allocScratch) float64 {
 // waterFill distributes the residual capacity max-min fairly across the
 // given flows (progressive filling). Rates are added on top of any rates
 // already assigned and deducted from the capacities.
+//
+// Each filling round touches only the flows still unfrozen and the ports
+// they use, O(F + Σ_rounds(unfrozen + ports)) per call. The result is
+// bit-identical to the plain formulation (internal/refsim) that rescans
+// every flow each round:
+//
+//   - the non-done flows are gathered once, in flow order, into a
+//     pointer-free scratch array that accumulates each rate and writes it
+//     back when the flow freezes: the same sequence of additions the flow's
+//     Rate would see;
+//   - per-port unfrozen counts are kept up to date as flows freeze (integer
+//     bookkeeping), and α is the min of cap/count over the ports with a
+//     count above zero — a min, so its visiting order does not matter;
+//   - freezing compacts the flows in place, keeping flow order, so the
+//     grant loop subtracts α from each port in the same sequence, and the
+//     freeze-nothing fallback still picks the first flow in flow order on
+//     the fullest port.
 func waterFill(flows []*Flow, egCap, inCap []float64, s *allocScratch) {
-	if cap(s.fill) < len(flows) {
-		s.fill = make([]fillState, len(flows))
-	}
-	st := s.fill[:len(flows)]
-	unfrozen := 0
+	live := s.fill[:0]
+	egT, inT := s.egTouched[:0], s.inTouched[:0]
 	for i, f := range flows {
-		st[i].frozen = f.Done
-		if !f.Done {
-			unfrozen++
+		if f.Done {
+			continue
 		}
+		live = append(live, fillFlow{idx: int32(i), src: int32(f.Src), dst: int32(f.Dst), rate: f.Rate})
+		if s.egCnt[f.Src] == 0 {
+			egT = append(egT, f.Src)
+		}
+		s.egCnt[f.Src]++
+		if s.inCnt[f.Dst] == 0 {
+			inT = append(inT, f.Dst)
+		}
+		s.inCnt[f.Dst]++
 	}
+	// unfrozen counts down like the flow-rescanning loop's counter: the
+	// fallback below retires one flow even when (with NaN capacities) it
+	// finds none to freeze.
+	unfrozen := len(live)
+	granted := false
 	for unfrozen > 0 {
-		// Count unfrozen flows per port (dense counters; the touched
-		// lists make the clear O(ports in use)).
-		egT, inT := s.egTouched[:0], s.inTouched[:0]
-		for i, f := range flows {
-			if st[i].frozen {
-				continue
-			}
-			if s.egCnt[f.Src] == 0 {
-				egT = append(egT, f.Src)
-			}
-			s.egCnt[f.Src]++
-			if s.inCnt[f.Dst] == 0 {
-				inT = append(inT, f.Dst)
-			}
-			s.inCnt[f.Dst]++
-		}
-		// The common increment is limited by the tightest port.
+		// The common increment is limited by the tightest port; ports whose
+		// flows all froze drop out of the touched lists here.
 		alpha := math.Inf(1)
-		for _, p := range egT {
-			if a := egCap[p] / float64(s.egCnt[p]); a < alpha {
-				alpha = a
-			}
-		}
-		for _, p := range inT {
-			if a := inCap[p] / float64(s.inCnt[p]); a < alpha {
-				alpha = a
-			}
-		}
-		for _, p := range egT {
-			s.egCnt[p] = 0
-		}
-		for _, p := range inT {
-			s.inCnt[p] = 0
-		}
-		s.egTouched, s.inTouched = egT, inT
+		egT, alpha = tightest(egT, egCap, s.egCnt, alpha)
+		inT, alpha = tightest(inT, inCap, s.inCnt, alpha)
 		if math.IsInf(alpha, 1) || alpha <= 0 {
-			// No capacity left anywhere: freeze everyone.
-			for i := range st {
-				st[i].frozen = true
-			}
-			break
+			break // no capacity left anywhere: everyone freezes as is
 		}
 		// Grant alpha to every unfrozen flow.
-		for i, f := range flows {
-			if st[i].frozen {
-				continue
-			}
-			f.Rate += alpha
-			egCap[f.Src] -= alpha
-			inCap[f.Dst] -= alpha
+		granted = true
+		for i := range live {
+			ff := &live[i]
+			ff.rate += alpha
+			egCap[ff.src] -= alpha
+			inCap[ff.dst] -= alpha
 		}
 		// Freeze flows on saturated ports.
 		const eps = 1e-12
-		newUnfrozen := 0
-		for i, f := range flows {
-			if st[i].frozen {
+		w := 0
+		for _, ff := range live {
+			if egCap[ff.src] <= eps || inCap[ff.dst] <= eps {
+				s.freeze(flows, ff)
 				continue
 			}
-			if egCap[f.Src] <= eps || inCap[f.Dst] <= eps {
-				st[i].frozen = true
-			} else {
-				newUnfrozen++
-			}
+			live[w] = ff
+			w++
 		}
-		if newUnfrozen == unfrozen {
+		if w != unfrozen {
+			unfrozen = w
+		} else {
 			// Defensive: guarantee progress even with degenerate float
-			// behaviour by freezing the flow on the fullest port.
-			freezeTightest(flows, st, egCap, inCap)
-			newUnfrozen = unfrozen - 1
+			// behaviour by freezing the first flow on the fullest port.
+			best, bestCap := -1, math.Inf(1)
+			for i, ff := range live[:w] {
+				if c := min(egCap[ff.src], inCap[ff.dst]); c < bestCap {
+					best, bestCap = i, c
+				}
+			}
+			if best >= 0 {
+				s.freeze(flows, live[best])
+				copy(live[best:w], live[best+1:w])
+				w--
+			}
+			unfrozen--
 		}
-		unfrozen = newUnfrozen
+		live = live[:w]
 	}
+	// The flows still unfrozen freeze as they are. With finite capacities
+	// that happens only when the first round finds no capacity (MADD often
+	// leaves a saturated port), so no rate changed and no flow is written.
+	if granted {
+		for _, ff := range live {
+			flows[ff.idx].Rate = ff.rate
+		}
+	}
+	for _, p := range egT {
+		s.egCnt[p] = 0
+	}
+	for _, p := range inT {
+		s.inCnt[p] = 0
+	}
+	s.fill, s.egTouched, s.inTouched = live[:0], egT, inT
 }
 
-// fillState tracks per-flow water-filling progress.
-type fillState struct{ frozen bool }
+// fillFlow is one unfrozen flow of a waterFill call: its index in the
+// call's flow list, its ports and the rate it has accumulated so far. It
+// holds no pointer, so the scratch keeps no flow alive and compacting it
+// needs no write barriers.
+type fillFlow struct {
+	idx, src, dst int32
+	rate          float64
+}
 
-func freezeTightest(flows []*Flow, st []fillState, egCap, inCap []float64) {
-	best, bestCap := -1, math.Inf(1)
-	for i, f := range flows {
-		if st[i].frozen {
+// freeze writes a water-filled flow's rate back and drops it from the
+// per-port unfrozen counts.
+func (s *allocScratch) freeze(flows []*Flow, ff fillFlow) {
+	flows[ff.idx].Rate = ff.rate
+	s.egCnt[ff.src]--
+	s.inCnt[ff.dst]--
+}
+
+// tightest lowers alpha to the smallest per-flow share cap[p]/cnt[p] over
+// the ports, compacting away ports with no unfrozen flow left.
+func tightest(ports []int, caps []float64, cnt []int, alpha float64) ([]int, float64) {
+	w := 0
+	for _, p := range ports {
+		if cnt[p] == 0 {
 			continue
 		}
-		c := math.Min(egCap[f.Src], inCap[f.Dst])
-		if c < bestCap {
-			best, bestCap = i, c
+		ports[w] = p
+		w++
+		if a := caps[p] / float64(cnt[p]); a < alpha {
+			alpha = a
 		}
 	}
-	if best >= 0 {
-		st[best].frozen = true
-	}
+	return ports[:w], alpha
 }
 
 // activeFlows flattens the non-done flows of the active coflows into the
@@ -667,9 +699,6 @@ type orderedMADD struct {
 
 	scratch allocScratch
 	ord     orderState
-	// shard configures the Tier-2 intra-epoch parallelism (see shard.go);
-	// the zero value keeps every pass on the serial code path.
-	shard ShardOptions
 	// sparse holds the event-horizon bookkeeping (see sparse.go); its zero
 	// value keeps Allocate on the dense path above.
 	sparse sparseState
@@ -685,7 +714,7 @@ func (o *orderedMADD) orderKey(c *Coflow, s *allocScratch) float64 { return o.ke
 
 // sortOrder brings the serving order up to date for one epoch.
 func (o *orderedMADD) sortOrder(active []*Coflow) {
-	o.ord.update(active, o, orderMode{dynamic: o.dynamic, sparse: o.sparse.on}, &o.scratch, o.shard)
+	o.ord.update(active, o, orderMode{dynamic: o.dynamic, sparse: o.sparse.on}, &o.scratch)
 }
 
 func (o *orderedMADD) Allocate(_ float64, active []*Coflow, egCap, inCap []float64) {
@@ -693,14 +722,14 @@ func (o *orderedMADD) Allocate(_ float64, active []*Coflow, egCap, inCap []float
 		o.allocateSparse(active, egCap, inCap)
 		return
 	}
-	resetRatesSharded(active, o.shard)
+	resetRates(active)
 	o.scratch.ensure(len(egCap))
 	o.sortOrder(active)
 	for _, c := range o.ord.order {
-		maddAllocateSharded(c, egCap, inCap, &o.scratch, o.shard)
+		maddAllocate(c, egCap, inCap, &o.scratch)
 	}
 	if o.backfill {
-		waterFillSharded(activeFlows(active, &o.scratch), egCap, inCap, &o.scratch, o.shard)
+		waterFill(activeFlows(active, &o.scratch), egCap, inCap, &o.scratch)
 	}
 }
 
@@ -766,7 +795,6 @@ type Aalo struct {
 
 	scratch allocScratch
 	ord     orderState
-	shard   ShardOptions
 	sparse  sparseState
 }
 
@@ -784,7 +812,7 @@ func (a *Aalo) orderKey(c *Coflow, _ *allocScratch) float64 { return float64(a.q
 
 // sortOrder brings the queue order up to date for one epoch.
 func (a *Aalo) sortOrder(active []*Coflow) {
-	a.ord.update(active, a, orderMode{dynamic: true, sparse: a.sparse.on, tieArrival: true}, &a.scratch, a.shard)
+	a.ord.update(active, a, orderMode{dynamic: true, sparse: a.sparse.on, tieArrival: true}, &a.scratch)
 }
 
 // queueOf returns the priority queue index for a coflow.
@@ -806,32 +834,29 @@ func (a *Aalo) Allocate(_ float64, active []*Coflow, egCap, inCap []float64) {
 		a.allocateSparse(active, egCap, inCap)
 		return
 	}
-	resetRatesSharded(active, a.shard)
+	resetRates(active)
 	a.scratch.ensure(len(egCap))
 	a.sortOrder(active)
 	for _, c := range a.ord.order {
-		maddAllocateSharded(c, egCap, inCap, &a.scratch, a.shard)
+		maddAllocate(c, egCap, inCap, &a.scratch)
 	}
-	waterFillSharded(activeFlows(active, &a.scratch), egCap, inCap, &a.scratch, a.shard)
+	waterFill(activeFlows(active, &a.scratch), egCap, inCap, &a.scratch)
 }
 
 // PerFlowFair ignores coflow boundaries entirely and shares every port
 // max-min fairly across individual flows — the TCP-like baseline coflow
 // papers compare against.
-type PerFlowFair struct {
-	// Shard configures intra-epoch parallelism; zero value = serial.
-	Shard ShardOptions
-}
+type PerFlowFair struct{}
 
 // Name implements Scheduler.
 func (PerFlowFair) Name() string { return "per-flow-fair" }
 
 // Allocate implements Scheduler.
-func (p PerFlowFair) Allocate(_ float64, active []*Coflow, egCap, inCap []float64) {
-	resetRatesSharded(active, p.Shard)
+func (PerFlowFair) Allocate(_ float64, active []*Coflow, egCap, inCap []float64) {
+	resetRates(active)
 	s := scratchPool.Get().(*allocScratch)
 	s.ensure(len(egCap))
-	waterFillSharded(activeFlows(active, s), egCap, inCap, s, p.Shard)
+	waterFill(activeFlows(active, s), egCap, inCap, s)
 	scratchPool.Put(s)
 }
 
@@ -840,17 +865,14 @@ func (p PerFlowFair) Allocate(_ float64, active []*Coflow, egCap, inCap []float6
 // destination index order, so a single ingress link is contended while the
 // others idle. Only flows towards the lowest-indexed destination with
 // pending traffic receive bandwidth each epoch.
-type SequentialByDest struct {
-	// Shard configures intra-epoch parallelism; zero value = serial.
-	Shard ShardOptions
-}
+type SequentialByDest struct{}
 
 // Name implements Scheduler.
 func (SequentialByDest) Name() string { return "sequential-by-dest" }
 
 // Allocate implements Scheduler.
-func (sd SequentialByDest) Allocate(_ float64, active []*Coflow, egCap, inCap []float64) {
-	resetRatesSharded(active, sd.Shard)
+func (SequentialByDest) Allocate(_ float64, active []*Coflow, egCap, inCap []float64) {
+	resetRates(active)
 	s := scratchPool.Get().(*allocScratch)
 	s.ensure(len(egCap))
 	flows := activeFlows(active, s)
@@ -871,6 +893,6 @@ func (sd SequentialByDest) Allocate(_ float64, active []*Coflow, egCap, inCap []
 		}
 	}
 	s.subset = subset
-	waterFillSharded(subset, egCap, inCap, s, sd.Shard)
+	waterFill(subset, egCap, inCap, s)
 	scratchPool.Put(s)
 }

@@ -27,7 +27,6 @@ type Deadline struct {
 
 	scratch allocScratch
 	ord     orderState
-	shard   ShardOptions
 }
 
 // NewVarysDeadline returns a fresh deadline-mode scheduler.
@@ -51,9 +50,9 @@ func (d *Deadline) orderKey(c *Coflow, _ *allocScratch) float64 { return c.Arriv
 // Allocate implements Scheduler. Arrival order is static per coflow, so only
 // newcomers are keyed and merged into the serving order.
 func (d *Deadline) Allocate(now float64, active []*Coflow, egCap, inCap []float64) {
-	resetRatesSharded(active, d.shard)
+	resetRates(active)
 	d.scratch.ensure(len(egCap))
-	d.ord.update(active, d, orderMode{}, &d.scratch, d.shard)
+	d.ord.update(active, d, orderMode{}, &d.scratch)
 
 	for _, c := range d.ord.order {
 		if c.Deadline <= 0 {
@@ -96,7 +95,7 @@ func (d *Deadline) Allocate(now float64, active []*Coflow, egCap, inCap []float6
 	// Leftover capacity serves rejected and best-effort coflows — and
 	// opportunistically accelerates everyone (finishing early never breaks
 	// a deadline).
-	waterFillSharded(activeFlows(active, &d.scratch), egCap, inCap, &d.scratch, d.shard)
+	waterFill(activeFlows(active, &d.scratch), egCap, inCap, &d.scratch)
 }
 
 // CapacityChanged implements CapacityObserver. Losing (or regaining) port

@@ -44,9 +44,6 @@ func checkOrderChurn(t *testing.T, n int, mode orderMode) {
 	var st, other orderState
 	var s allocScratch
 	s.ensure(2)
-	// The sharded re-key only runs on the dense path; force it on small
-	// sets so the property covers it too.
-	shard := ShardOptions{Workers: 2, MinFlows: 1}
 	in := make(map[*Coflow]bool)
 	var active []*Coflow
 	for step := 0; step < 400; step++ {
@@ -75,7 +72,7 @@ func checkOrderChurn(t *testing.T, n int, mode orderMode) {
 				c.MarkSimMoved()
 			}
 		case op == 18: // another scheduler drives the same coflows once
-			other.update(active, keys, mode, &s, ShardOptions{})
+			other.update(active, keys, mode, &s)
 		default: // a new run reuses the coflows
 			for _, c := range pool {
 				c.BeginSim(2)
@@ -89,11 +86,7 @@ func checkOrderChurn(t *testing.T, n int, mode orderMode) {
 				}
 			}
 		}
-		sh := ShardOptions{}
-		if step%3 == 0 {
-			sh = shard
-		}
-		st.update(active, keys, mode, &s, sh)
+		st.update(active, keys, mode, &s)
 		if !mode.dynamic {
 			// Static keys are read once, on joining; only newcomers follow
 			// the table, so the reference sorts on the keys actually held.
@@ -128,7 +121,7 @@ func TestOrderStateAcrossStampBlocks(t *testing.T) {
 	s.ensure(2)
 	for e := 0; e < 2*stampBlock+3; e++ {
 		active := cs[e%2 : 2+e%2]
-		st.update(active, keys, orderMode{}, &s, ShardOptions{})
+		st.update(active, keys, orderMode{}, &s)
 		if want := []*Coflow{active[1], active[0]}; !slices.Equal(st.order, want) {
 			t.Fatalf("epoch %d: order %v, want %v", e, ids(st.order), ids(want))
 		}

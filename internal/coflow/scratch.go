@@ -32,19 +32,11 @@ type allocScratch struct {
 	// touched lists the ports with a non-zero cnt entry so clearing is
 	// O(ports touched), not O(ports).
 	egTouched, inTouched []int
-	// fill holds waterFill's per-flow freeze state.
-	fill []fillState
+	// fill holds waterFill's unfrozen flows (emptied after each call).
+	fill []fillFlow
 	// flows and subset are reusable flow-list buffers (activeFlows, and
 	// SequentialByDest's destination filter).
 	flows, subset []*Flow
-	// shards and rates back the Tier-2 sharded passes (see shard.go): one
-	// shardScratch per worker for the flow-sharded counting/tally loops, and
-	// a per-flow rate stash so maddAllocateSharded can split the parallel
-	// division pass from the serial (order-preserving) capacity deductions.
-	// Nil until a sharded pass actually runs; the serial path never touches
-	// them, which keeps the sub-threshold zero-alloc invariant intact.
-	shards []shardScratch
-	rates  []float64
 }
 
 // ensure sizes the per-port buffers for a fabric of n ports, growing (never
@@ -93,9 +85,6 @@ type orderState struct {
 	spare []*Coflow // merge target; swapped with order after each merge
 	dirty []*Coflow // this epoch's newcomers and re-keyed coflows
 	stamp uint64    // membership stamp of the last epoch (0: none yet)
-	// keyScratch holds one allocScratch per shard worker for the parallel
-	// re-key pass (see rekeySharded). Nil until sharded re-keying runs.
-	keyScratch []allocScratch
 }
 
 // orderStamps hands out membership stamps to every orderState in blocks of
@@ -129,9 +118,8 @@ type orderMode struct {
 }
 
 // update brings the order in line with the active set for one epoch (see
-// orderState). s must be ensured to the fabric; shard enables the parallel
-// re-key on the dense path.
-func (st *orderState) update(active []*Coflow, k keyer, mode orderMode, s *allocScratch, shard ShardOptions) {
+// orderState). s must be ensured to the fabric.
+func (st *orderState) update(active []*Coflow, k keyer, mode orderMode, s *allocScratch) {
 	next := st.nextStamp()
 	dirty := st.dirty[:0]
 	members := 0
@@ -147,7 +135,7 @@ func (st *orderState) update(active []*Coflow, k keyer, mode orderMode, s *alloc
 	if mode.dynamic {
 		rekey = active
 	}
-	moved := st.rekey(rekey, k, mode.sparse, s, shard)
+	moved := st.rekey(rekey, k, mode.sparse, s)
 	if len(dirty) == 0 && !moved && members == len(st.order) {
 		st.stamp = next // same members, same keys: the order stands
 		return
@@ -205,13 +193,8 @@ func mergeSorted(out, a, b []*Coflow, byKey func(x, y *Coflow) int) []*Coflow {
 // rekey recomputes the priority key of every coflow in cs, marking those
 // whose key changed for re-insertion, and reports whether any did. In
 // sparse mode a coflow whose cached key is still valid (keyed and not moved)
-// keeps it; the dense path shards the pass when configured (see
-// rekeySharded), which reports true without counting.
-func (st *orderState) rekey(cs []*Coflow, k keyer, sparse bool, s *allocScratch, shard ShardOptions) (moved bool) {
-	if !sparse && shard.Workers > 1 && len(cs) >= shard.minCoflows() {
-		st.rekeySharded(cs, k, len(s.egNeed), shard.Workers)
-		return true
-	}
+// keeps it.
+func (st *orderState) rekey(cs []*Coflow, k keyer, sparse bool, s *allocScratch) (moved bool) {
 	for _, c := range cs {
 		if sparse {
 			if c.sim.keyed && !c.sim.moved {

@@ -125,7 +125,7 @@ func TestEventHorizonMatchesDenseUnderFailures(t *testing.T) {
 // TestEventHorizonReusedSchedulerClearsSparse pins the Session.begin
 // contract: a scheduler instance moved from an event-horizon simulator to a
 // plain one must drop the sparse bookkeeping (and vice versa), matching a
-// fresh dense run exactly — the sparse twin of the shard-config reuse test.
+// fresh dense run exactly.
 func TestEventHorizonReusedSchedulerClearsSparse(t *testing.T) {
 	for _, pair := range schedPairs {
 		pair := pair

@@ -190,16 +190,11 @@ func (ss *Session) begin(s *Simulator, rep *Report) error {
 	}
 	sc.failEv = failEv
 	ss.obs, _ = s.sched.(coflow.CapacityObserver)
-	// Propagate (or clear — a scheduler reused across differently-configured
-	// simulators must not keep stale sharding) the Tier-2 shard config.
-	if st, ok := s.sched.(coflow.ShardTunable); ok {
-		st.SetShard(s.shardOptions())
-	}
 	// Event-horizon mode: sparse only when the simulator opts in, the run
 	// has no dependency graph (admission must be a pure arrival-order prefix
-	// pop), and the scheduler upholds the sparse contract. Like the shard
-	// config, the toggle is propagated unconditionally so a scheduler reused
-	// on a dense simulator drops its sparse bookkeeping.
+	// pop), and the scheduler upholds the sparse contract. The toggle
+	// is propagated unconditionally so a scheduler reused on a dense
+	// simulator drops its sparse bookkeeping.
 	ss.sparse = s.EventHorizon && len(s.Deps) == 0
 	if sa, ok := s.sched.(coflow.SparseAllocator); ok {
 		ss.sa = sa

@@ -137,40 +137,3 @@ func RunWithState[S, R any](workers, n int, newState func(worker int) S, task fu
 	}
 	return out, nil
 }
-
-// ForShards splits [0, n) into `workers` contiguous ranges and runs
-// fn(shard, lo, hi) for each — concurrently when workers > 1, inline (one
-// call covering the whole range) otherwise. Shard boundaries are a pure
-// function of (workers, n), so a computation that is exact under any split
-// (elementwise writes, integer accumulation, max/min reductions) produces
-// identical results at every worker count. fn must touch only state that is
-// disjoint across shards; the caller owns any merge.
-//
-// This is the engine of the Tier-2 intra-run parallelism: the port and flow
-// ranges of the MADD and water-filling passes are independent within an
-// epoch, so they shard here once the fabric crosses the size threshold.
-func ForShards(workers, n int, fn func(shard, lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		fn(0, 0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	for s := 0; s < workers; s++ {
-		lo, hi := s*n/workers, (s+1)*n/workers
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(s, lo, hi int) {
-			defer wg.Done()
-			fn(s, lo, hi)
-		}(s, lo, hi)
-	}
-	wg.Wait()
-}

@@ -17,8 +17,9 @@
 package placement
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"ccf/internal/partition"
 )
@@ -106,15 +107,15 @@ func (c CCF) Place(m *partition.ChunkMatrix, initial *partition.Loads) (*partiti
 
 	// Line 1: sort partitions by their largest chunk, descending, so large
 	// chunks (to which T is most sensitive) are placed first.
-	order := make([]int, p)
-	for k := range order {
-		order[k] = k
-	}
-	if !c.NoSort {
+	var order []int
+	if c.NoSort {
+		order = make([]int, p)
+		for k := range order {
+			order[k] = k
+		}
+	} else {
 		maxChunk, _ := m.MaxChunk()
-		sort.SliceStable(order, func(a, b int) bool {
-			return maxChunk[order[a]] > maxChunk[order[b]]
-		})
+		order = byKeyDesc(maxChunk)
 	}
 
 	tot := m.PartitionTotals()
@@ -228,11 +229,7 @@ func (LPT) Place(m *partition.ChunkMatrix, initial *partition.Loads) (*partition
 		copy(ingress, initial.Ingress)
 	}
 	tot := m.PartitionTotals()
-	order := make([]int, p)
-	for k := range order {
-		order[k] = k
-	}
-	sort.SliceStable(order, func(a, b int) bool { return tot[order[a]] > tot[order[b]] })
+	order := byKeyDesc(tot)
 	pl := partition.NewPlacement(p)
 	for _, k := range order {
 		best := 0
@@ -276,4 +273,30 @@ func Evaluate(s Scheduler, m *partition.ChunkMatrix, initial *partition.Loads) (
 		TrafficBytes:    loads.Traffic(),
 		BottleneckBytes: loads.Max(),
 	}, nil
+}
+
+// byKeyDesc returns the partition indices ordered by key, largest first,
+// ties by index: the permutation a stable sort of 0..len(keys)-1 by
+// descending key yields. Sorting (key, partition) pairs keeps the
+// comparisons on contiguous memory and avoids reflection.
+func byKeyDesc(keys []int64) []int {
+	type keyed struct {
+		key int64
+		k   int
+	}
+	pairs := make([]keyed, len(keys))
+	for k, key := range keys {
+		pairs[k] = keyed{key, k}
+	}
+	slices.SortFunc(pairs, func(a, b keyed) int {
+		if c := cmp.Compare(b.key, a.key); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.k, b.k)
+	})
+	order := make([]int, len(pairs))
+	for i, pk := range pairs {
+		order[i] = pk.k
+	}
+	return order
 }

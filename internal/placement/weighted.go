@@ -12,7 +12,6 @@ package placement
 
 import (
 	"fmt"
-	"sort"
 
 	"ccf/internal/partition"
 )
@@ -51,14 +50,8 @@ func (c WeightedCCF) Place(m *partition.ChunkMatrix, initial *partition.Loads) (
 		copy(ingress, initial.Ingress)
 	}
 
-	order := make([]int, p)
-	for k := range order {
-		order[k] = k
-	}
 	maxChunk, _ := m.MaxChunk()
-	sort.SliceStable(order, func(a, b int) bool {
-		return maxChunk[order[a]] > maxChunk[order[b]]
-	})
+	order := byKeyDesc(maxChunk)
 
 	tot := m.PartitionTotals()
 	pl := partition.NewPlacement(p)

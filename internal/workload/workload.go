@@ -203,7 +203,7 @@ func Generate(cfg Config) (*Workload, error) {
 				if int64(k) < remainder {
 					tot++
 				}
-				assignPartition(m, k, tot, weights, cfg)
+				assignPartition(m, k, tot, weights, &cfg)
 			}
 		}(lo, hi)
 	}
@@ -224,7 +224,7 @@ func Generate(cfg Config) (*Workload, error) {
 		// the re-keyed tuples are sampled uniformly from the relation.
 		var assigned int64
 		for i := 0; i < n; i++ {
-			b := int64(weights[rankOf(i, ks, cfg)] * float64(skewBytes))
+			b := int64(weights[rankOf(i, ks, &cfg)] * float64(skewBytes))
 			w.SkewBytesPerNode[i] = b
 			assigned += b
 		}
@@ -244,7 +244,7 @@ func Generate(cfg Config) (*Workload, error) {
 }
 
 // assignPartition splits tot bytes of partition k over the nodes.
-func assignPartition(m *partition.ChunkMatrix, k int, tot int64, weights []float64, cfg Config) {
+func assignPartition(m *partition.ChunkMatrix, k int, tot int64, weights []float64, cfg *Config) {
 	n := len(weights)
 	var sum int64
 	maxI := 0
@@ -293,7 +293,7 @@ func assignPartition(m *partition.ChunkMatrix, k int, tot int64, weights []float
 // rankOf returns the Zipf rank of node i for partition k: identity when
 // ranks are aligned (paper default), rotated by a per-partition offset when
 // ShuffleRanks is set.
-func rankOf(i, k int, cfg Config) int {
+func rankOf(i, k int, cfg *Config) int {
 	if !cfg.ShuffleRanks {
 		return i
 	}
