@@ -69,7 +69,7 @@ func main() {
 		traceJSON     = flag.String("tracejson", "BENCH_trace.json", "output path for the trace-scale experiment's JSON")
 		traceMachines = flag.Int("tracemachines", 16, "fabric width for the trace-scale experiment")
 		traceCoflows  = flag.Int("tracecoflows", 12, "base (×1) coflow count for the trace-scale experiment")
-		traceDense    = flag.Float64("tracedense", 100, "largest density also run through the dense batch path for the speedup/equality check")
+		traceDense    = flag.Float64("tracedense", 100, "largest density also run as one batch RunInto for the stream = batch equality check")
 	)
 	flag.Parse()
 	chartPanels = *chart

@@ -4,12 +4,12 @@ package main
 // multipliers and write BENCH_trace.json. Each density row replays
 // round(base·density) coflows with interarrivals compressed by the same
 // factor through the streaming path (fbtrace.Stream → core.ReplayStream with
-// the event-horizon loop and completed-coflow release), so the trace never
-// materialises as a slice. Densities up to -tracedense are also run through
-// the dense batch path (fbtrace.Generate → netsim.RunInto) to (a) measure
-// speedup_vs_dense and (b) assert the two paths agree bit for bit; beyond
-// that the dense path is skipped (at ×1000 it would dominate CI) and the
-// row carries only the streaming numbers.
+// completed-coflow release), so the trace never materialises as a slice.
+// Densities up to -tracedense are also run as one batch (fbtrace.Generate →
+// netsim.RunInto, the same event loop over the materialised trace) to assert
+// that the two agree bit for bit; beyond that the batch run is skipped (at
+// ×1000 it would dominate CI) and the row carries only the streaming
+// numbers.
 
 import (
 	"encoding/json"
@@ -41,10 +41,9 @@ type traceRow struct {
 	// peak-RSS proxy; GC timing makes it approximate, PeakResident is the
 	// deterministic counterpart).
 	HeapAllocBytes uint64 `json:"heap_alloc_bytes"`
-	// Dense-comparison fields, present only on rows where the dense path ran.
-	DenseWallSec   float64 `json:"dense_wall_sec,omitempty"`
-	SpeedupVsDense float64 `json:"speedup_vs_dense,omitempty"`
-	DenseMatch     bool    `json:"dense_match,omitempty"`
+	// Batch-comparison fields, present only on rows where the batch run ran.
+	BatchWallSec float64 `json:"batch_wall_sec,omitempty"`
+	BatchMatch   bool    `json:"batch_match,omitempty"`
 }
 
 // parseDensities parses the -density list. Every entry must be a positive,
@@ -71,9 +70,9 @@ func parseDensities(list string) ([]float64, error) {
 	return out, nil
 }
 
-func traceScaleExp(path string, densities []float64, machines, coflows int, denseMax float64) error {
-	fmt.Printf("trace-scale: FB-like trace replay, %d machines, base %d coflows (dense comparison up to ×%g):\n",
-		machines, coflows, denseMax)
+func traceScaleExp(path string, densities []float64, machines, coflows int, batchMax float64) error {
+	fmt.Printf("trace-scale: FB-like trace replay, %d machines, base %d coflows (batch comparison up to ×%g):\n",
+		machines, coflows, batchMax)
 	var rows []traceRow
 	for _, density := range densities {
 		cfg := fbtrace.Config{
@@ -93,7 +92,6 @@ func traceScaleExp(path string, densities []float64, machines, coflows int, dens
 		start := time.Now()
 		rep, err := core.ReplayStream(machines, st, core.ReplayOptions{
 			Scheduler:        coflow.NewVarys(),
-			EventHorizon:     true,
 			ReleaseCompleted: true,
 		})
 		wall := time.Since(start).Seconds()
@@ -115,8 +113,8 @@ func traceScaleExp(path string, densities []float64, machines, coflows int, dens
 			HeapAllocBytes: ms.HeapAlloc,
 		}
 
-		if density <= denseMax {
-			denseStart := time.Now()
+		if density <= batchMax {
+			batchStart := time.Now()
 			cfs, err := fbtrace.Generate(cfg)
 			if err != nil {
 				return err
@@ -125,30 +123,29 @@ func traceScaleExp(path string, densities []float64, machines, coflows int, dens
 			if err != nil {
 				return err
 			}
-			var denseRep netsim.Report
-			if err := netsim.NewSimulator(fab, coflow.NewVarys()).RunInto(cfs, &denseRep); err != nil {
-				return fmt.Errorf("density %g dense: %w", density, err)
+			var batchRep netsim.Report
+			if err := netsim.NewSimulator(fab, coflow.NewVarys()).RunInto(cfs, &batchRep); err != nil {
+				return fmt.Errorf("density %g batch: %w", density, err)
 			}
-			row.DenseWallSec = time.Since(denseStart).Seconds()
-			row.SpeedupVsDense = row.DenseWallSec / wall
-			row.DenseMatch = rep.AvgCCT == denseRep.AvgCCT &&
-				rep.Makespan == denseRep.Makespan &&
-				rep.TotalBytes == denseRep.TotalBytes &&
-				rep.MaxCCT == denseRep.MaxCCT &&
-				rep.Epochs == denseRep.Epochs
-			if !row.DenseMatch {
-				return fmt.Errorf("density %g: streaming replay diverged from dense batch "+
+			row.BatchWallSec = time.Since(batchStart).Seconds()
+			row.BatchMatch = rep.AvgCCT == batchRep.AvgCCT &&
+				rep.Makespan == batchRep.Makespan &&
+				rep.TotalBytes == batchRep.TotalBytes &&
+				rep.MaxCCT == batchRep.MaxCCT &&
+				rep.Epochs == batchRep.Epochs
+			if !row.BatchMatch {
+				return fmt.Errorf("density %g: streaming replay diverged from the batch run "+
 					"(avgCCT %v vs %v, makespan %v vs %v, epochs %d vs %d)",
-					density, rep.AvgCCT, denseRep.AvgCCT, rep.Makespan, denseRep.Makespan,
-					rep.Epochs, denseRep.Epochs)
+					density, rep.AvgCCT, batchRep.AvgCCT, rep.Makespan, batchRep.Makespan,
+					rep.Epochs, batchRep.Epochs)
 			}
 		}
 
 		rows = append(rows, row)
 		fmt.Printf("  ×%-6g %7d coflows  %8.2fs wall  %9.1f jobs/s  peak resident %6d",
 			density, total, row.WallSec, row.JobsPerSec, row.PeakResident)
-		if row.DenseWallSec > 0 {
-			fmt.Printf("  dense %8.2fs  speedup %5.1fx", row.DenseWallSec, row.SpeedupVsDense)
+		if row.BatchWallSec > 0 {
+			fmt.Printf("  batch %8.2fs (bit-identical)", row.BatchWallSec)
 		}
 		fmt.Println()
 	}

@@ -87,15 +87,14 @@ type simCache struct {
 	egPorts, inPorts []int   // ports with ≥1 live flow (unordered)
 	egCnt, inCnt     []int   // per-port live-flow counts, len ≥ fabric ports
 
-	// Sparse-mode (event-horizon) bookkeeping; see sparse.go. moved marks
-	// that the coflow's progress state changed since its priority key was
-	// last computed; keyed marks schedKey as a valid cache of that key;
-	// granted marks that the last sparse Allocate assigned this coflow
+	// Event-horizon bookkeeping; see sparse.go. moved marks that the
+	// coflow's progress state changed since its priority key was last
+	// computed; granted marks that the last Allocate assigned this coflow
 	// nonzero rates; blockEg/blockIn memoize the last port the coflow was
 	// found blocked on (-1 when none), so re-checking a still-blocked coflow
 	// is O(1) instead of O(ports touched).
-	moved, keyed, granted bool
-	blockEg, blockIn      int
+	moved, granted   bool
+	blockEg, blockIn int
 
 	// Priority-order membership (see orderState): ordStamp is the stamp of
 	// the last epoch whose order held this coflow (0: none), and reorder
@@ -113,7 +112,6 @@ type simCache struct {
 func (c *Coflow) BeginSim(ports int) {
 	c.sim.valid = true
 	c.sim.moved = true
-	c.sim.keyed = false
 	c.sim.granted = false
 	c.sim.blockEg, c.sim.blockIn = -1, -1
 	c.sim.ordStamp, c.sim.reorder = 0, false
@@ -684,9 +682,11 @@ func activeFlows(active []*Coflow, s *allocScratch) []*Flow {
 //
 // The serving order persists across epochs (see orderState). Policies with
 // static keys (arrival time, width) key a coflow once, when it joins;
-// dynamic policies (Γ, remaining bytes) recompute keys once per epoch — not
-// once per comparison, as the pre-optimized code did — and re-insert only
-// the coflows whose key changed.
+// dynamic policies (Γ, remaining bytes) also re-key the members the engine
+// marked moved — once per epoch, not once per comparison, as the
+// pre-optimized code did — and re-insert only the coflows whose key changed.
+// Allocate follows sparse.go: blocked coflows are skipped, and the backfill
+// runs only when it can grant something.
 type orderedMADD struct {
 	name string
 	// key computes the coflow's priority (smaller serves first; ties break
@@ -699,9 +699,7 @@ type orderedMADD struct {
 
 	scratch allocScratch
 	ord     orderState
-	// sparse holds the event-horizon bookkeeping (see sparse.go); its zero
-	// value keeps Allocate on the dense path above.
-	sparse sparseState
+	sparse  sparseState
 }
 
 func (o *orderedMADD) Name() string { return o.name }
@@ -714,22 +712,17 @@ func (o *orderedMADD) orderKey(c *Coflow, s *allocScratch) float64 { return o.ke
 
 // sortOrder brings the serving order up to date for one epoch.
 func (o *orderedMADD) sortOrder(active []*Coflow) {
-	o.ord.update(active, o, orderMode{dynamic: o.dynamic, sparse: o.sparse.on}, &o.scratch)
+	o.ord.update(active, o, orderMode{dynamic: o.dynamic}, &o.scratch)
 }
 
 func (o *orderedMADD) Allocate(_ float64, active []*Coflow, egCap, inCap []float64) {
-	if o.sparse.on {
-		o.allocateSparse(active, egCap, inCap)
-		return
-	}
-	resetRates(active)
+	o.sparse.reset(active)
 	o.scratch.ensure(len(egCap))
 	o.sortOrder(active)
-	for _, c := range o.ord.order {
-		maddAllocate(c, egCap, inCap, &o.scratch)
-	}
-	if o.backfill {
+	anyBlocked := o.sparse.serve(o.ord.order, egCap, inCap, &o.scratch)
+	if o.backfill && !anyBlocked {
 		waterFill(activeFlows(active, &o.scratch), egCap, inCap, &o.scratch)
+		o.sparse.dense = true
 	}
 }
 
@@ -812,7 +805,7 @@ func (a *Aalo) orderKey(c *Coflow, _ *allocScratch) float64 { return float64(a.q
 
 // sortOrder brings the queue order up to date for one epoch.
 func (a *Aalo) sortOrder(active []*Coflow) {
-	a.ord.update(active, a, orderMode{dynamic: true, sparse: a.sparse.on, tieArrival: true}, &a.scratch)
+	a.ord.update(active, a, orderMode{dynamic: true, tieArrival: true}, &a.scratch)
 }
 
 // queueOf returns the priority queue index for a coflow.
@@ -828,19 +821,16 @@ func (a *Aalo) queueOf(c *Coflow) int {
 
 // Allocate implements Scheduler. The queue order persists across epochs;
 // only newcomers and coflows that crossed a queue threshold are re-inserted
-// (queue index, then arrival, then ID is a strict total order).
+// (queue index, then arrival, then ID is a strict total order). Only the
+// coflows the engine marked moved have their queue index recomputed.
 func (a *Aalo) Allocate(_ float64, active []*Coflow, egCap, inCap []float64) {
-	if a.sparse.on {
-		a.allocateSparse(active, egCap, inCap)
-		return
-	}
-	resetRates(active)
+	a.sparse.reset(active)
 	a.scratch.ensure(len(egCap))
 	a.sortOrder(active)
-	for _, c := range a.ord.order {
-		maddAllocate(c, egCap, inCap, &a.scratch)
+	if !a.sparse.serve(a.ord.order, egCap, inCap, &a.scratch) {
+		waterFill(activeFlows(active, &a.scratch), egCap, inCap, &a.scratch)
+		a.sparse.dense = true
 	}
-	waterFill(activeFlows(active, &a.scratch), egCap, inCap, &a.scratch)
 }
 
 // PerFlowFair ignores coflow boundaries entirely and shares every port

@@ -392,10 +392,18 @@ func TestAllSchedulersRespectCapacities(t *testing.T) {
 			}
 			c := New(ci, "c", float64(rng.Intn(3)), flows)
 			c.SentBytes = float64(rng.Intn(2)) * 20e6
+			// Rates left behind by another scheduler must not leak in.
+			for _, fl := range c.Flows {
+				fl.Rate = float64(rng.Intn(3))
+			}
 			cfs = append(cfs, c)
 		}
-		eg, in := capSlices(n, 1)
-		s.Allocate(0, cfs, eg, in)
+		// Allocate twice: the second call must replace the first call's
+		// rates, not add to them.
+		for range 2 {
+			eg, in := capSlices(n, 1)
+			s.Allocate(0, cfs, eg, in)
+		}
 		egUse := make([]float64, n)
 		inUse := make([]float64, n)
 		for _, c := range cfs {

@@ -8,7 +8,7 @@ import (
 )
 
 // tableKeyer keys coflows from a table the test edits, so a re-key step is
-// just a table write (plus MarkSimMoved, for the sparse key cache).
+// just a table write (plus MarkSimMoved, so the order re-reads the key).
 type tableKeyer []float64
 
 func (k tableKeyer) orderKey(c *Coflow, _ *allocScratch) float64 { return k[c.ID] }
@@ -17,23 +17,30 @@ func (k tableKeyer) orderKey(c *Coflow, _ *allocScratch) float64 { return k[c.ID
 // admits, departures, re-keys, handoffs to another order and reruns after
 // BeginSim, and checks after every epoch that it equals a full sort of the
 // active set. Keys and arrivals come from tiny ranges so ties are common.
+// sparse=true marks only the re-keyed coflows moved, as the engine does for
+// the coflows a scheduler granted; sparse=false marks every active coflow
+// moved each epoch, as it does for a scheduler that grants everywhere.
 func TestOrderStateMatchesFullSort(t *testing.T) {
 	for _, n := range []int{1, 2, 7, 60, 2000} {
-		for _, mode := range []orderMode{
-			{dynamic: true},
-			{dynamic: true, tieArrival: true},
-			{dynamic: true, sparse: true},
-			{dynamic: true, sparse: true, tieArrival: true},
-			{},
-			{tieArrival: true},
+		for _, tc := range []struct {
+			mode   orderMode
+			sparse bool
+		}{
+			{orderMode{dynamic: true}, false},
+			{orderMode{dynamic: true, tieArrival: true}, false},
+			{orderMode{dynamic: true}, true},
+			{orderMode{dynamic: true, tieArrival: true}, true},
+			{orderMode{}, false},
+			{orderMode{tieArrival: true}, false},
 		} {
-			name := fmt.Sprintf("n=%d/dynamic=%v/sparse=%v/tieArrival=%v", n, mode.dynamic, mode.sparse, mode.tieArrival)
-			t.Run(name, func(t *testing.T) { checkOrderChurn(t, n, mode) })
+			mode := tc.mode
+			name := fmt.Sprintf("n=%d/dynamic=%v/sparse=%v/tieArrival=%v", n, mode.dynamic, tc.sparse, mode.tieArrival)
+			t.Run(name, func(t *testing.T) { checkOrderChurn(t, n, mode, tc.sparse) })
 		}
 	}
 }
 
-func checkOrderChurn(t *testing.T, n int, mode orderMode) {
+func checkOrderChurn(t *testing.T, n int, mode orderMode, sparse bool) {
 	rng := rand.New(rand.NewSource(int64(n)))
 	pool := make([]*Coflow, n)
 	keys := make(tableKeyer, n)
@@ -86,6 +93,11 @@ func checkOrderChurn(t *testing.T, n int, mode orderMode) {
 				}
 			}
 		}
+		if !sparse {
+			for _, c := range active {
+				c.MarkSimMoved()
+			}
+		}
 		st.update(active, keys, mode, &s)
 		if !mode.dynamic {
 			// Static keys are read once, on joining; only newcomers follow
@@ -136,7 +148,7 @@ func ids(cs []*Coflow) []int {
 	return out
 }
 
-// BenchmarkOrderChurn measures one sparse Varys Allocate with n coflows
+// BenchmarkOrderChurn measures one Varys Allocate with n coflows
 // resident on a saturated 16-port fabric, where each op admits one coflow,
 // retires the oldest and moves one more (its Γ changes). Per-op cost should
 // grow linearly in n: the order is merged, not re-sorted.
@@ -154,7 +166,6 @@ func BenchmarkOrderChurn(b *testing.B) {
 				pool[i].BeginSim(ports)
 			}
 			sched := NewVarys()
-			sched.(SparseAllocator).SetSparse(true)
 			eg, in := make([]float64, ports), make([]float64, ports)
 			refill := func() {
 				for p := range eg {

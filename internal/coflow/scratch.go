@@ -68,9 +68,10 @@ var scratchPool = sync.Pool{New: func() any { return new(allocScratch) }}
 //     epoch; every other active coflow is a newcomer. No two orders (and no
 //     two epochs) share a stamp (see nextStamp), and BeginSim zeroes a
 //     coflow's stamp so a coflow reused by the next run re-enters as new;
-//  2. re-keys the coflows whose key can have changed and collects the dirty
-//     set: the newcomers plus the members whose key actually changed. With
-//     no dirty coflow and no departure the order stands as it is;
+//  2. keys the newcomers fresh and, for dynamic keys, re-keys the members
+//     the engine marked moved, and collects the dirty set: the newcomers
+//     plus the members whose key actually changed. With no dirty coflow and
+//     no departure the order stands as it is;
 //  3. drops departed and dirty coflows from the order in one stable in-place
 //     compaction, sorts only the k dirty coflows, and
 //  4. merges them back into the untouched remainder in one linear pass into
@@ -108,13 +109,13 @@ type keyer interface {
 	orderKey(c *Coflow, s *allocScratch) float64
 }
 
-// orderMode says how a scheduler's keys behave. dynamic keys drift as bytes
-// move, so every active coflow is re-keyed each epoch; static keys are
-// computed once, when a coflow joins the order. sparse reuses a coflow's
-// cached key until the engine marks it moved (see sparse.go). tieArrival
-// breaks key ties by arrival before ID.
+// orderMode says how a scheduler's keys behave. A coflow joining the order
+// is always keyed fresh. dynamic keys drift as bytes move, so a member is
+// re-keyed whenever the engine marked it moved (see sparse.go); static keys
+// are computed only on joining. tieArrival breaks key ties by arrival
+// before ID.
 type orderMode struct {
-	dynamic, sparse, tieArrival bool
+	dynamic, tieArrival bool
 }
 
 // update brings the order in line with the active set for one epoch (see
@@ -122,20 +123,24 @@ type orderMode struct {
 func (st *orderState) update(active []*Coflow, k keyer, mode orderMode, s *allocScratch) {
 	next := st.nextStamp()
 	dirty := st.dirty[:0]
-	members := 0
+	members, moved := 0, false
 	for _, c := range active {
 		if st.stamp != 0 && c.sim.ordStamp == st.stamp {
 			c.sim.ordStamp = next
 			members++
+			if mode.dynamic && c.sim.moved && rekey(c, k, s) {
+				moved = true
+			}
 		} else {
+			// A newcomer's rates were not set by this order's scheduler,
+			// which resets only the rates it granted: start them at 0.
+			for _, f := range c.Flows {
+				f.Rate = 0
+			}
+			rekey(c, k, s)
 			dirty = append(dirty, c)
 		}
 	}
-	rekey := dirty
-	if mode.dynamic {
-		rekey = active
-	}
-	moved := st.rekey(rekey, k, mode.sparse, s)
 	if len(dirty) == 0 && !moved && members == len(st.order) {
 		st.stamp = next // same members, same keys: the order stands
 		return
@@ -190,23 +195,11 @@ func mergeSorted(out, a, b []*Coflow, byKey func(x, y *Coflow) int) []*Coflow {
 	return append(out, a...)
 }
 
-// rekey recomputes the priority key of every coflow in cs, marking those
-// whose key changed for re-insertion, and reports whether any did. In
-// sparse mode a coflow whose cached key is still valid (keyed and not moved)
-// keeps it.
-func (st *orderState) rekey(cs []*Coflow, k keyer, sparse bool, s *allocScratch) (moved bool) {
-	for _, c := range cs {
-		if sparse {
-			if c.sim.keyed && !c.sim.moved {
-				continue
-			}
-			c.sim.moved, c.sim.keyed = false, true
-		}
-		if c.setKey(k.orderKey(c, s)) {
-			moved = true
-		}
-	}
-	return moved
+// rekey recomputes the coflow's priority key and clears its moved mark; a
+// changed key marks the coflow for re-insertion and reports true.
+func rekey(c *Coflow, k keyer, s *allocScratch) bool {
+	c.sim.moved = false
+	return c.setKey(k.orderKey(c, s))
 }
 
 // setKey stores the coflow's priority key and, when the key changed, marks

@@ -1,17 +1,17 @@
 package coflow
 
-// Event-horizon (sparse) allocation: scheduler-side support for the engine
-// mode in which per-epoch cost scales with what *changed* since the last
-// epoch, not with everything active (DESIGN.md §16).
+// Event-horizon allocation: the scheduler side of the event loop in
+// internal/netsim, in which per-epoch cost scales with what *changed* since
+// the last epoch, not with everything active (DESIGN.md §16).
 //
-// The contract is the repository's standing one: bit-identical results to
-// the dense path. Every shortcut below is a proof-carrying no-op:
+// The results are those of the plain formulation (internal/refsim), bit for
+// bit. Every shortcut below is a proof-carrying no-op:
 //
-//   - priority keys are cached per coflow and recomputed only when the
-//     engine marked the coflow moved (bytes advanced, a flow completed or
-//     was reactivated, a failure voided progress). A clean coflow's key is
-//     a pure function of unchanged state, so the cached float is the bit
-//     the dense re-key would have produced;
+//   - a coflow that joins an order is keyed fresh; a member's priority key
+//     is recomputed only when the engine marked the coflow moved (bytes
+//     advanced, a flow completed or was reactivated, a failure voided
+//     progress). A clean coflow's key is a pure function of unchanged
+//     state, so the cached float is the bit a re-key would produce;
 //   - only coflows that joined or whose recomputed key differs from its
 //     cached value are re-inserted into the persistent order: they are
 //     sorted among themselves and merged into the untouched remainder
@@ -29,49 +29,55 @@ package coflow
 //     water-filling's first level computes α ≤ 0 and freezes everything
 //     without granting — a pure no-op on rates and capacities;
 //   - rate resets walk only the coflows granted rates by the previous
-//     Allocate (writing 0 over 0 is the identity). When the backfill ran,
+//     Allocate (writing 0 over 0 is the identity), and a coflow joining the
+//     order starts at rate 0 (orderState.update). When the backfill ran,
 //     every active coflow was granted, and the reset falls back to the
-//     dense pass. Done flows dropped from the live cache may keep a stale
-//     Rate that the dense reset would have zeroed; no reader observes done
+//     full pass. Done flows dropped from the live cache may keep a stale
+//     Rate that a full reset would have zeroed; no reader observes done
 //     flows' rates (the engine and telemetry iterate live flows only).
 //
 // The engine's half of the contract: call MarkSimMoved on every coflow
 // whose progress state changes, and read SimGranted/LastGrantDense to
 // restrict its own flow passes to rate-carrying coflows.
 
-// SparseAllocator is implemented by schedulers that support the
-// event-horizon engine mode. netsim.Session enables it only for schedulers
-// that implement this interface; everything else keeps the dense loop.
+// SparseAllocator is implemented by schedulers that report which coflows
+// their last Allocate granted rates. The event engine restricts its flow
+// passes to those coflows; a scheduler that does not implement it is
+// treated as granting rates everywhere.
 type SparseAllocator interface {
 	Scheduler
-	// SetSparse toggles sparse allocation. While on, the engine must mark
-	// moved coflows (MarkSimMoved); in return, after each Allocate either
-	// LastGrantDense reports true or exactly the coflows with SimGranted
-	// carry nonzero rates. Off restores the dense path and discards the
-	// sparse bookkeeping.
-	SetSparse(on bool)
 	// LastGrantDense reports whether the last Allocate's backfill granted
-	// rates across the whole active set (so the engine must scan every live
-	// flow rather than just the granted coflows).
+	// rates across the whole active set. When false, exactly the coflows
+	// with SimGranted carry nonzero rates.
 	LastGrantDense() bool
 }
 
 // MarkSimMoved records that the coflow's progress state (remaining bytes,
-// live-flow set, or sent bytes) changed, invalidating any cached priority
-// key. The event engine calls it in sparse mode; it is harmless elsewhere.
+// live-flow set, or sent bytes) changed, invalidating its cached priority
+// key. Code that drives Allocate itself must call it after changing a
+// coflow's progress, or the coflow keeps its old place in the order.
 func (c *Coflow) MarkSimMoved() { c.sim.moved = true }
 
-// SimGranted reports whether the last sparse Allocate granted this coflow
-// nonzero rates. Meaningful only between sparse Allocate calls.
+// SimGranted reports whether the last Allocate granted this coflow nonzero
+// rates. Meaningful only between Allocate calls of a SparseAllocator.
 func (c *Coflow) SimGranted() bool { return c.sim.granted }
 
 // blockedOn reports whether maddAllocate would find one of the coflow's
 // ports with no residual capacity — exactly its blocked condition, computed
-// over the same cached port sets — without touching scratch state. The
+// over the same cached port sets (over its flows, for a coflow outside any
+// simulation) — without touching scratch state. The
 // blocking port is memoized (validated against the live port counts, since
 // completions can drop a port from the set) so steady-state re-checks of a
 // still-blocked coflow cost O(1).
 func (c *Coflow) blockedOn(egCap, inCap []float64) bool {
+	if !c.sim.valid {
+		for _, f := range c.Flows {
+			if !f.Done && (egCap[f.Src] <= 0 || inCap[f.Dst] <= 0) {
+				return true
+			}
+		}
+		return false
+	}
 	if h := c.sim.blockEg; h >= 0 && c.sim.egCnt[h] > 0 && egCap[h] <= 0 {
 		return true
 	}
@@ -97,7 +103,6 @@ func (c *Coflow) blockedOn(egCap, inCap []float64) bool {
 // the coflows granted rates by the last Allocate (for the O(granted) rate
 // reset) and whether the backfill went dense.
 type sparseState struct {
-	on      bool
 	granted []*Coflow
 	dense   bool
 }
@@ -116,18 +121,15 @@ func (sp *sparseState) reset(active []*Coflow) {
 	} else {
 		for _, c := range sp.granted {
 			c.sim.granted = false
-			for _, f := range c.sim.live {
+			flows := c.sim.live
+			if !c.sim.valid {
+				flows = c.Flows
+			}
+			for _, f := range flows {
 				f.Rate = 0
 			}
 		}
 	}
-	sp.granted = sp.granted[:0]
-}
-
-// set toggles sparse mode, discarding stale grant state on any transition.
-func (sp *sparseState) set(on bool) {
-	sp.on = on
-	sp.dense = false
 	sp.granted = sp.granted[:0]
 }
 
@@ -147,46 +149,11 @@ func (sp *sparseState) serve(order []*Coflow, egCap, inCap []float64, s *allocSc
 	return anyBlocked
 }
 
-// SetSparse implements SparseAllocator.
-func (o *orderedMADD) SetSparse(on bool) { o.sparse.set(on) }
-
 // LastGrantDense implements SparseAllocator.
 func (o *orderedMADD) LastGrantDense() bool { return o.sparse.dense }
 
-// allocateSparse is the event-horizon variant of orderedMADD.Allocate:
-// same epoch structure, with the re-key restricted to moved coflows, the
-// MADD pass skipping blocked coflows, and the backfill skipped when
-// provably a no-op.
-func (o *orderedMADD) allocateSparse(active []*Coflow, egCap, inCap []float64) {
-	o.sparse.reset(active)
-	o.scratch.ensure(len(egCap))
-	o.sortOrder(active)
-	anyBlocked := o.sparse.serve(o.ord.order, egCap, inCap, &o.scratch)
-	if o.backfill && !anyBlocked {
-		waterFill(activeFlows(active, &o.scratch), egCap, inCap, &o.scratch)
-		o.sparse.dense = true
-	}
-}
-
-// SetSparse implements SparseAllocator.
-func (a *Aalo) SetSparse(on bool) { a.sparse.set(on) }
-
 // LastGrantDense implements SparseAllocator.
 func (a *Aalo) LastGrantDense() bool { return a.sparse.dense }
-
-// allocateSparse is the event-horizon variant of Aalo.Allocate: the D-CLAS
-// queue index of a coflow whose SentBytes did not change is recomputed from
-// its cached value, and the rest follows orderedMADD.allocateSparse.
-func (a *Aalo) allocateSparse(active []*Coflow, egCap, inCap []float64) {
-	a.sparse.reset(active)
-	a.scratch.ensure(len(egCap))
-	a.sortOrder(active)
-	anyBlocked := a.sparse.serve(a.ord.order, egCap, inCap, &a.scratch)
-	if !anyBlocked {
-		waterFill(activeFlows(active, &a.scratch), egCap, inCap, &a.scratch)
-		a.sparse.dense = true
-	}
-}
 
 // EffectiveWeight returns the coflow's weight with the zero value mapped to
 // the default weight 1 (see the Weight field).

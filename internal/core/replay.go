@@ -9,7 +9,7 @@ package core
 // than its length. That is what lets the Facebook trace replay
 // at 1000× density inside CI.
 //
-// Advancing to each arrival is exact: arrivals bound the dense loop's epochs
+// Advancing to each arrival is exact: arrivals bound the loop's epochs
 // anyway, so the stepwise session visits the same epoch boundaries as a
 // batch RunInto over the fully materialised trace, and the reports agree bit
 // for bit (TestReplayStreamMatchesBatch).
@@ -34,7 +34,10 @@ type ReplayOptions struct {
 	Bandwidth float64
 	// Scheduler orders the concurrent coflows; nil = Varys.
 	Scheduler coflow.Scheduler
-	// EventHorizon runs the sparse session loop (netsim.Simulator).
+	// EventHorizon is ignored.
+	//
+	// Deprecated: every session runs the event-horizon loop
+	// (netsim.Simulator.EventHorizon).
 	EventHorizon bool
 	// ReleaseCompleted drops finished coflows from the live session
 	// (netsim.Simulator.ReleaseCompleted); the report is unchanged.
@@ -72,7 +75,6 @@ func ReplayStream(machines int, src CoflowSource, opts ReplayOptions) (*ReplayRe
 		sched = coflow.NewVarys()
 	}
 	sim := netsim.NewSimulator(fabric, sched)
-	sim.EventHorizon = opts.EventHorizon
 	sim.ReleaseCompleted = opts.ReleaseCompleted
 	ses, err := sim.Session()
 	if err != nil {

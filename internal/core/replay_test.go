@@ -1,9 +1,9 @@
 package core
 
 // ReplayStream must be a pure re-packaging of the batch path: pulling the
-// fbtrace stream through one live session — with the sparse loop and
-// completed-coflow release on — yields the exact report a dense RunInto over
-// the fully materialised trace produces. fbtrace assigns IDs in arrival
+// fbtrace stream through one live session — with completed-coflow release
+// on — yields the exact report a batch RunInto over the fully materialised
+// trace produces. fbtrace assigns IDs in arrival
 // order, so ID-order aggregation (the released path) is input-order
 // aggregation and even the averaged fields match bit for bit.
 
@@ -51,7 +51,6 @@ func TestReplayStreamMatchesBatch(t *testing.T) {
 				}
 				got, err := ReplayStream(cfg.Machines, st, ReplayOptions{
 					Scheduler:        mk(),
-					EventHorizon:     true,
 					ReleaseCompleted: true,
 				})
 				if err != nil {
@@ -98,7 +97,6 @@ func TestReplayStreamBoundsResidency(t *testing.T) {
 	}
 	rep, err := ReplayStream(cfg.Machines, st, ReplayOptions{
 		Scheduler:        coflow.NewVarys(),
-		EventHorizon:     true,
 		ReleaseCompleted: true,
 	})
 	if err != nil {

@@ -99,9 +99,22 @@ func BenchmarkSteadyStateRun(b *testing.B) {
 	}
 }
 
+// chainDeps makes every third of ncf staggered coflows depend on the next
+// one, which arrives after it, so it waits in the admission queue past its
+// own arrival.
+func chainDeps(ncf int) map[int][]int {
+	deps := map[int][]int{}
+	for ci := 0; ci+1 < ncf; ci += 3 {
+		deps[ci] = []int{ci + 1}
+	}
+	return deps
+}
+
 // TestSteadyStateRunZeroAllocs pins the telemetry overhead contract on the
 // regular test path (no -bench flag needed): with Probe nil, a steady-state
-// run performs zero heap allocations per op for every scheduler family.
+// run performs zero heap allocations per op for every scheduler family —
+// those that report grants and those the loop treats as granting
+// everywhere (per-flow-fair, varys-deadline) — and with Deps.
 func TestSteadyStateRunZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector perturbs allocation counts")
@@ -109,11 +122,14 @@ func TestSteadyStateRunZeroAllocs(t *testing.T) {
 	scheds := []struct {
 		name string
 		mk   func() coflow.Scheduler
+		deps bool
 	}{
-		{"varys", coflow.NewVarys},
-		{"aalo", func() coflow.Scheduler { return coflow.NewAalo() }},
-		{"fifo", coflow.NewFIFO},
-		{"per-flow-fair", func() coflow.Scheduler { return coflow.PerFlowFair{} }},
+		{"varys", coflow.NewVarys, false},
+		{"aalo", func() coflow.Scheduler { return coflow.NewAalo() }, false},
+		{"fifo", coflow.NewFIFO, false},
+		{"per-flow-fair", func() coflow.Scheduler { return coflow.PerFlowFair{} }, false},
+		{"varys-deadline", func() coflow.Scheduler { return coflow.NewVarysDeadline() }, false},
+		{"varys-deps", coflow.NewVarys, true},
 	}
 	for _, sc := range scheds {
 		t.Run(sc.name, func(t *testing.T) {
@@ -123,9 +139,15 @@ func TestSteadyStateRunZeroAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 			sim := netsim.NewSimulator(fab, sc.mk())
+			if sc.deps {
+				sim.Deps = chainDeps(len(cfs))
+			}
 			var rep netsim.Report
 			if err := sim.RunInto(cfs, &rep); err != nil { // warm the scratch
 				t.Fatal(err)
+			}
+			if sc.deps && cfs[0].Arrival == 0 {
+				t.Fatal("coflow 0 never waited for its predecessor; the variant measures nothing")
 			}
 			if avg := testing.AllocsPerRun(10, func() {
 				if err := sim.RunInto(cfs, &rep); err != nil {
@@ -133,26 +155,6 @@ func TestSteadyStateRunZeroAllocs(t *testing.T) {
 				}
 			}); avg != 0 {
 				t.Fatalf("steady-state RunInto allocated %v allocs/op with nil probe", avg)
-			}
-
-			// Same contract on the event-horizon loop, for the schedulers
-			// that support it: the sparse admission queue, the incremental
-			// priority order and the sparse grant bookkeeping all reuse
-			// their buffers across runs.
-			if _, ok := sc.mk().(coflow.SparseAllocator); !ok {
-				return
-			}
-			hzSim := netsim.NewSimulator(fab, sc.mk())
-			hzSim.EventHorizon = true
-			if err := hzSim.RunInto(cfs, &rep); err != nil {
-				t.Fatal(err)
-			}
-			if avg := testing.AllocsPerRun(10, func() {
-				if err := hzSim.RunInto(cfs, &rep); err != nil {
-					t.Fatal(err)
-				}
-			}); avg != 0 {
-				t.Fatalf("steady-state event-horizon RunInto allocated %v allocs/op", avg)
 			}
 		})
 	}
@@ -172,13 +174,14 @@ func TestSessionAdvanceZeroAllocs(t *testing.T) {
 	scheds := []struct {
 		name    string
 		mk      func() coflow.Scheduler
-		horizon bool // drive the event-horizon loop
+		deps    bool // chainDeps: coflows wait in the queue past arrival
 		release bool // ReleaseCompleted, over enough coflows to sweep
 	}{
 		{"varys", coflow.NewVarys, false, false},
 		{"aalo", func() coflow.Scheduler { return coflow.NewAalo() }, false, false},
-		{"varys-event-horizon", coflow.NewVarys, true, false},
-		{"aalo-event-horizon", func() coflow.Scheduler { return coflow.NewAalo() }, true, false},
+		{"per-flow-fair", func() coflow.Scheduler { return coflow.PerFlowFair{} }, false, false},
+		{"varys-deadline", func() coflow.Scheduler { return coflow.NewVarysDeadline() }, false, false},
+		{"varys-deps", coflow.NewVarys, true, false},
 		{"varys-release", coflow.NewVarys, false, true},
 	}
 	for _, sc := range scheds {
@@ -194,24 +197,43 @@ func TestSessionAdvanceZeroAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 			sim := netsim.NewSimulator(fab, sc.mk())
-			sim.EventHorizon = sc.horizon
+			if sc.deps {
+				sim.Deps = chainDeps(ncf)
+			}
 			sim.ReleaseCompleted = sc.release
 			minKept := ncf
 			eg, in := make([]int64, n), make([]int64, n)
+			arrivals := make([]float64, ncf)
+			for i, c := range cfs {
+				arrivals[i] = c.Arrival
+			}
 			cycle := func() {
 				ses, err := sim.Session()
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, c := range cfs {
-					if err := ses.Advance(c.Arrival); err != nil {
+				if sc.deps {
+					// A predecessor arrives after its dependant, so the
+					// whole set is admitted up front, with the arrivals the
+					// previous cycle lifted restored.
+					for i, c := range cfs {
+						c.Arrival = arrivals[i]
+					}
+					if err := ses.AdmitBatch(cfs); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for i, c := range cfs {
+					if err := ses.Advance(arrivals[i]); err != nil {
 						t.Fatal(err)
 					}
 					if err := ses.BacklogInto(eg, in); err != nil {
 						t.Fatal(err)
 					}
-					if err := ses.Admit(c); err != nil {
-						t.Fatal(err)
+					if !sc.deps {
+						if err := ses.Admit(c); err != nil {
+							t.Fatal(err)
+						}
 					}
 					minKept = min(minKept, ses.AdmittedCount())
 				}
@@ -222,6 +244,9 @@ func TestSessionAdvanceZeroAllocs(t *testing.T) {
 			cycle() // warm the scratch and the session buffers
 			if sc.release && minKept == ncf {
 				t.Fatal("no coflow was released; the variant measures nothing")
+			}
+			if sc.deps && cfs[0].Arrival == arrivals[0] {
+				t.Fatal("coflow 0 never waited for its predecessor; the variant measures nothing")
 			}
 			if avg := testing.AllocsPerRun(10, cycle); avg != 0 {
 				t.Fatalf("steady-state session cycle allocated %v allocs/op", avg)

@@ -106,20 +106,22 @@ func driveStream(t *testing.T, sim *netsim.Simulator, cfs []*coflow.Coflow,
 }
 
 // backlogModes are the loop configurations the live backlog must be exact
-// under: both loops, the dense loop's Deps, and restart-delivered failures
-// (which reactivate delivered flows of in-flight coflows), each with release
-// on where Failures allow it.
+// under: dense grants (the scheduler's grant report hidden, see denseGrant)
+// and sparse ones, Deps, and restart-delivered failures (which reactivate
+// delivered flows of in-flight coflows), each with release on where
+// Failures allow it.
 type streamMode struct {
-	name                    string
-	horizon, deps, failures bool
+	name                  string
+	dense, deps, failures bool
 }
 
 var backlogModes = []streamMode{
-	{"dense", false, false, false},
-	{"sparse", true, false, false},
-	{"dense-deps", false, true, false},
-	{"dense-restart-delivered", false, false, true},
-	{"sparse-restart-delivered", true, false, true},
+	{"dense", true, false, false},
+	{"sparse", false, false, false},
+	{"dense-deps", true, true, false},
+	{"sparse-deps", false, true, false},
+	{"dense-restart-delivered", true, false, true},
+	{"sparse-restart-delivered", false, false, true},
 }
 
 // backlogScheds names the schedulers of schedPairs the stream tests run:
@@ -131,8 +133,10 @@ var backlogScheds = map[string]bool{"varys": true, "scf": true, "aalo": true, "v
 func newStreamSim(t *testing.T, spec *workloadSpec, sched coflow.Scheduler, rng *rand.Rand,
 	mode streamMode, release bool) *netsim.Simulator {
 	t.Helper()
+	if mode.dense {
+		sched = denseGrant(sched)
+	}
 	sim := netsim.NewSimulator(spec.fabric(t), sched)
-	sim.EventHorizon = mode.horizon
 	sim.ReleaseCompleted = release
 	if mode.deps {
 		sim.Deps = map[int][]int{}

@@ -1,164 +1,78 @@
 package netsim
 
-// Event-horizon simulation: the sparse variant of the session event loop,
-// engaged by Simulator.EventHorizon for schedulers that implement
-// coflow.SparseAllocator on runs without Deps (DESIGN.md §16).
+// The event loop: every run, session and scheduler goes through
+// Session.loop below (DESIGN.md §16).
 //
-// The dense loop already jumps epoch-to-event — dt is the minimum over flow
-// completions, arrivals, capacity events and failure edges — so the sparse
-// loop cannot (and does not) skip epochs. What it changes is the cost *per*
-// epoch, from O(pending + live flows) to O(coflows that changed):
+// Time jumps epoch to event — dt is the minimum over flow completions,
+// arrivals, capacity events and failure edges — and the cost of an epoch
+// scales with the coflows whose state changed, not with everything queued
+// or active:
 //
-//   - admission pops the eligible prefix of the arrival-sorted queue instead
-//     of rescanning (and re-copying) the whole pending list every epoch.
-//     With the queue sorted by arrival, the eligible set is exactly a
-//     prefix, so the admissions and their order are the dense ones;
+//   - admission walks only the arrival-sorted queue's prefix whose arrival
+//     has passed. It admits, in order, the coflows whose predecessors (Deps)
+//     are done; the ones still waiting slide up to the front of the queue,
+//     where the next admission walks them again. Without Deps this is a plain
+//     prefix pop. A completion that releases a waiting coflow re-runs
+//     admission at the same instant;
 //   - the retirement scan runs only on epochs that could have produced a
 //     newly-finished coflow: after an advance with completions, or after an
 //     admission (a zero-flow coflow finishes on its admission epoch).
 //     Nothing else finishes a coflow — failure edges only un-finish flows —
-//     so skipped scans are scans that would have found nothing;
-//   - the fused rate/usage/dt pass and the advance pass iterate only the
-//     coflows the scheduler granted rates (SimGranted/LastGrantDense).
-//     Ungranted flows carry rate 0: the dense pass adds 0.0 to the port
-//     sums (exact — the sums start at +0 and never see negative terms, so
-//     no term changes any bit) and moves no bytes for them. The iteration
-//     order over granted flows — active order × live order — is the dense
-//     flat-list order restricted to the granted set, so every float
-//     accumulation (egUse/inUse, SentBytes, TotalBytes) rounds identically;
-//   - the time to the next completion comes from a min-heap of projected
-//     completion times (completionHeap below). Only rate-carrying flows
-//     enter the heap — zero-rate flows (e.g. on fully failed ports) never
-//     do. The heap is rebuilt each epoch: under the bit-identity contract
-//     every granted flow's rate is freshly computed each epoch (MADD's τ
-//     and water-filling's α drift as bytes move), so no projection survives
-//     an epoch. The win is that only granted flows are projected at all.
+//     so a skipped scan is one that would have found nothing;
+//   - the fused rate/usage/dt pass, the advance pass and the failure passes
+//     iterate active coflows × LiveFlows, restricted to the coflows the
+//     scheduler granted rates (coflow.SparseAllocator). A scheduler that
+//     does not report grants is treated as granting everywhere. Ungranted
+//     flows carry rate 0: they would add +0.0 to the port sums (exact — the
+//     sums start at +0 and never see negative terms) and move no bytes;
+//   - the time to the next completion is a running min(Remaining/Rate) over
+//     the granted flows. Every granted rate is computed afresh each epoch
+//     (MADD's τ and water-filling's α drift as bytes move), so no projection
+//     could be carried from one epoch to the next anyway.
 //
-// With Failures configured the flow passes fall back to the dense flat-list
-// scans: restart-delivered reactivation appends to the *global* live list
-// tail, which breaks the grouped-by-coflow ordering identity the granted
-// iteration relies on. Scheduler-side sparsity (key caches, blocked skips,
-// prefix admission, gated retirement) still applies.
+// The loop marks every coflow it advances as moved (coflow.MarkSimMoved), so
+// a scheduler re-keys only those; failure edges mark the coflows whose
+// progress they void.
 
 import (
 	"fmt"
 	"math"
+
+	"ccf/internal/coflow"
 )
 
-// completionEntry is one projected flow completion: at = now + rel with
-// rel = Remaining/Rate. rel is carried alongside because (now + rel) - now
-// is not rel in floats — the heap orders by absolute projection and the
-// loop recovers the exact relative step from the stored rel.
-type completionEntry struct {
-	at  float64
-	rel float64
-}
-
-// completionHeap is a binary min-heap of projected flow-completion times,
-// keyed on the absolute projection. Grow-only storage; reset per epoch.
-type completionHeap struct {
-	ent []completionEntry
-}
-
-func (h *completionHeap) reset() { h.ent = h.ent[:0] }
-
-func (h *completionHeap) len() int { return len(h.ent) }
-
-// push inserts a projection. Callers must never push zero-rate flows: a
-// flow with no rate has no projected completion (rel would be +Inf) and
-// must not bound the epoch.
-func (h *completionHeap) push(at, rel float64) {
-	h.ent = append(h.ent, completionEntry{at: at, rel: rel})
-	i := len(h.ent) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if h.ent[p].at <= h.ent[i].at {
-			break
-		}
-		h.ent[p], h.ent[i] = h.ent[i], h.ent[p]
-		i = p
-	}
-}
-
-// pop removes the minimum-projection entry.
-func (h *completionHeap) pop() {
-	n := len(h.ent) - 1
-	h.ent[0] = h.ent[n]
-	h.ent = h.ent[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < n && h.ent[l].at < h.ent[m].at {
-			m = l
-		}
-		if r < n && h.ent[r].at < h.ent[m].at {
-			m = r
-		}
-		if m == i {
-			return
-		}
-		h.ent[i], h.ent[m] = h.ent[m], h.ent[i]
-		i = m
-	}
-}
-
-// minRel returns the exact minimum relative time-to-completion among the
-// pushed entries (+Inf when empty), consuming the minimal tie set. Float
-// addition is monotone (rel₁ ≤ rel₂ ⟹ now+rel₁ ≤ now+rel₂), so the flow
-// with the globally minimal rel projects onto the minimal absolute time;
-// taking the min rel over the entries tied at that projection therefore
-// recovers the bit-exact dense dt = min(Remaining/Rate).
-func (h *completionHeap) minRel() float64 {
-	if len(h.ent) == 0 {
-		return math.Inf(1)
-	}
-	minAt := h.ent[0].at
-	rel := h.ent[0].rel
-	h.pop()
-	for len(h.ent) > 0 && h.ent[0].at == minAt {
-		if h.ent[0].rel < rel {
-			rel = h.ent[0].rel
-		}
-		h.pop()
-	}
-	return rel
-}
-
-// loopSparse is the event-horizon event loop. It mirrors Session.loop
-// stanza-for-stanza — every float expression, comparison and accumulation
-// order is the dense one — with the per-epoch scans restricted to changed
-// state as described in the file comment. Deviations from the dense body
-// are commented inline with their exactness argument.
-func (ss *Session) loopSparse(stop float64) error {
+// loop runs fluid epochs between completions, arrivals, capacity events and
+// failure edges, stopping once `now` reaches `stop` (or the legacy
+// Simulator.Horizon) or the session drains. It is allocation-free at steady
+// state.
+func (ss *Session) loop(stop float64) error {
 	s := ss.s
 	sc := &s.scratch
 	rep := ss.rep
 	ports := s.fabric.Ports
 	hz := s.Horizon
-	sa := ss.sa
+	sa, _ := s.sched.(coflow.SparseAllocator)
+	haveDeps := len(s.Deps) > 0
+	completed := sc.completed
 	egFac, inFac := sc.egFac[:ports], sc.inFac[:ports]
 	egCap, inCap := sc.egCap[:ports], sc.inCap[:ports]
 	egUse, inUse := sc.egUse[:ports], sc.inUse[:ports]
 	downCnt := sc.downCnt[:ports]
 	failEv := sc.failEv
 	haveFail := ss.haveFail
-	heap := &sc.horizon
 
 	now := ss.now
-	// The loop pops admissions off the front of pending; save records them
-	// in ss.head rather than reslicing ss.pending, so the queue keeps its
-	// front capacity (see Session.stage).
-	pending, active, liveFlows := ss.pending[ss.head:], ss.active, ss.live
+	active := ss.active
 	events, nextFail := ss.events, ss.nextFail
+	// save parks the loop state back in the session; called (not deferred —
+	// a deferred closure would allocate) before every exit.
 	save := func() {
-		ss.now, ss.head, ss.active, ss.live = now, len(ss.pending)-len(pending), active, liveFlows
+		ss.now, ss.active = now, active
 		ss.events, ss.nextFail = events, nextFail
 	}
 
 	// scanRetire arms the retirement scan. It starts armed (a resumed loop
-	// re-checks once, exactly as the dense loop would on its first
-	// iteration) and re-arms on the only transitions that can finish a
+	// re-checks once) and re-arms on the only transitions that can finish a
 	// coflow: advance completions and admissions.
 	scanRetire := true
 	for {
@@ -167,31 +81,43 @@ func (ss *Session) loopSparse(stop float64) error {
 			return fmt.Errorf("netsim: exceeded %d epochs (scheduler %q livelock?)", s.MaxEpochs, s.sched.Name())
 		}
 		ss.iter++
-		// Admissions: with no Deps, the eligible coflows are exactly the
-		// arrival-sorted queue's prefix with Arrival ≤ now — same test, same
-		// order, same arrival lift as the dense scan, without touching the
-		// ineligible suffix.
-		for len(pending) > 0 && pending[0].Arrival <= now+1e-12 {
-			c := pending[0]
-			pending = pending[1:]
+		// Admissions: pending[head:end] is the prefix whose arrival has
+		// passed. Coflows whose predecessors are done are admitted in queue
+		// order, with a dependency-gated arrival lifted to its release time
+		// so its CCT measures active transfer. The still-waiting ones are
+		// compacted to pending[head:w] and then moved up to end, so the
+		// queue stays contiguous and arrival-sorted from the new head.
+		q := ss.pending
+		w, end := ss.head, ss.head
+		for ; end < len(q) && q[end].Arrival <= now+1e-12; end++ {
+			c := q[end]
+			if !s.depsDone(c, completed) {
+				q[w] = c
+				w++
+				continue
+			}
 			if c.Arrival < now {
 				c.Arrival = now
 			}
 			active = append(active, c)
-			if haveFail {
-				liveFlows = append(liveFlows, c.LiveFlows()...)
-			}
 			scanRetire = true
 			if s.Probe != nil {
 				s.Probe.CoflowAdmitted(now, c)
 			}
 		}
+		waiting := w - ss.head
+		copy(q[end-waiting:end], q[ss.head:w])
+		ss.head = end - waiting
 		for len(events) > 0 && events[0].Time <= now+1e-12 {
 			ev := events[0]
 			events = events[1:]
 			egFac[ev.Port] = ev.EgressFactor
 			inFac[ev.Port] = ev.IngressFactor
 		}
+		// Down edges void progress per the retransmission policy and may
+		// re-enter delivered flows into their coflows' live sets; both
+		// edges invalidate capacity-dependent scheduler state (deadline
+		// admissions).
 		for nextFail < len(failEv) && failEv[nextFail].time <= now+1e-12 {
 			tr := failEv[nextFail]
 			nextFail++
@@ -199,7 +125,7 @@ func (ss *Session) loopSparse(stop float64) error {
 				downCnt[tr.port]--
 			} else {
 				downCnt[tr.port]++
-				liveFlows = s.applyPortDown(tr, now, active, liveFlows, rep)
+				s.applyPortDown(tr, now, active, rep)
 			}
 			if s.Probe != nil {
 				s.Probe.FailureEdge(now, tr.port, tr.up)
@@ -208,17 +134,18 @@ func (ss *Session) loopSparse(stop float64) error {
 				ss.obs.CapacityChanged(now)
 			}
 		}
-		// Retirement, gated: coflows finish only through advance completions
-		// or (zero-flow coflows) admission, both of which arm the scan; a
-		// skipped scan is one the dense loop runs and finds nothing in.
 		if scanRetire {
 			scanRetire = false
+			retired := false
 			liveCF := active[:0]
 			for _, c := range active {
 				if c.Finished() {
 					if !c.Completed {
 						c.Completed = true
 						c.Completion = now
+						if haveDeps {
+							completed[c.ID] = true
+						}
 						cct, err := c.CCT()
 						if err != nil {
 							save()
@@ -226,6 +153,7 @@ func (ss *Session) loopSparse(stop float64) error {
 						}
 						rep.CCTs[c.ID] = cct
 						ss.retired++
+						retired = true
 						if s.Probe != nil {
 							s.Probe.CoflowCompleted(now, c)
 						}
@@ -238,6 +166,14 @@ func (ss *Session) loopSparse(stop float64) error {
 			if ss.release {
 				ss.releaseCompleted()
 			}
+			// A completion that released a waiting coflow (the first ready
+			// coflow has already arrived) admits it at this instant, not at
+			// the next unrelated event.
+			if retired && haveDeps {
+				if next := ss.nextReady(); next != nil && next.Arrival <= now+1e-12 {
+					continue
+				}
+			}
 		}
 
 		if hz >= 0 && now >= hz-1e-12 {
@@ -248,26 +184,29 @@ func (ss *Session) loopSparse(stop float64) error {
 			break
 		}
 		if len(active) == 0 {
-			if len(pending) == 0 {
+			if ss.head == len(ss.pending) {
 				break
 			}
-			// No Deps: the first eligible arrival is the queue head.
-			next := pending[0].Arrival
-			if hz >= 0 && next >= hz {
+			next := ss.nextReady()
+			if next == nil {
+				save()
+				return fmt.Errorf("netsim: %d coflows blocked on dependencies that can never complete (cycle?)",
+					len(ss.pending)-ss.head)
+			}
+			if hz >= 0 && next.Arrival >= hz {
 				now = hz
 				break
 			}
-			if next > stop {
+			if next.Arrival > stop {
 				break
 			}
-			if next > now {
-				now = next
+			if next.Arrival > now {
+				now = next.Arrival
 			}
 			continue
 		}
 
-		// Scheduling epoch: identical capacity setup; Allocate runs the
-		// scheduler's sparse path (key caches, blocked skips, granted set).
+		// Scheduling epoch.
 		rep.Epochs++
 		for p := 0; p < ports; p++ {
 			egCap[p] = s.fabric.EgressCap[p] * egFac[p]
@@ -283,14 +222,16 @@ func (ss *Session) loopSparse(stop float64) error {
 		}
 		s.sched.Allocate(now, active, egCap, inCap)
 
-		// Fused pass + completion heap. Without failures, iterate the
-		// granted coflows in active order (the dense flat order restricted
-		// to rate-carrying flows); with failures, the dense flat list.
+		// One fused pass over the granted flows, in active × live order:
+		// validate rates, accumulate per-port usage, and find the time to
+		// the next completion.
+		grantAll := sa == nil || sa.LastGrantDense()
 		dt := math.Inf(1)
-		heap.reset()
-		grantDense := sa.LastGrantDense()
-		if haveFail {
-			for _, f := range liveFlows {
+		for _, c := range active {
+			if !grantAll && !c.SimGranted() {
+				continue
+			}
+			for _, f := range c.LiveFlows() {
 				if f.Rate < 0 {
 					save()
 					return fmt.Errorf("netsim: scheduler %q set negative rate %g on flow %d", s.sched.Name(), f.Rate, f.ID)
@@ -298,32 +239,14 @@ func (ss *Session) loopSparse(stop float64) error {
 				egUse[f.Src] += f.Rate
 				inUse[f.Dst] += f.Rate
 				if f.Rate > 0 {
-					rel := f.Remaining / f.Rate
-					heap.push(now+rel, rel)
-				}
-			}
-		} else {
-			for _, c := range active {
-				if !grantDense && !c.SimGranted() {
-					continue
-				}
-				for _, f := range c.LiveFlows() {
-					if f.Rate < 0 {
-						save()
-						return fmt.Errorf("netsim: scheduler %q set negative rate %g on flow %d", s.sched.Name(), f.Rate, f.ID)
-					}
-					egUse[f.Src] += f.Rate
-					inUse[f.Dst] += f.Rate
-					if f.Rate > 0 {
-						rel := f.Remaining / f.Rate
-						heap.push(now+rel, rel)
+					if t := f.Remaining / f.Rate; t < dt {
+						dt = t
 					}
 				}
 			}
 		}
-		if t := heap.minRel(); t < dt {
-			dt = t
-		}
+		// Port capacity check with 0.1% tolerance for float accumulation —
+		// keeps every scheduler honest under the property tests.
 		const tolAbs = 1e-9
 		tol := 1 + 1e-3
 		for p := 0; p < ports; p++ {
@@ -339,11 +262,12 @@ func (ss *Session) loopSparse(stop float64) error {
 			}
 		}
 
-		// Epoch bounds: first pending arrival (the queue head — no Deps),
-		// capacity events, failure edges, horizon, stop. Same expressions
-		// and comparisons as the dense loop.
-		if len(pending) > 0 {
-			if t := pending[0].Arrival - now; t >= 0 && t < dt {
+		// ... or the next arrival of a coflow whose predecessors are done,
+		// capacity event or failure edge, whichever comes first. A gated
+		// coflow is released by a completion, which is already a dt
+		// boundary.
+		if next := ss.nextReady(); next != nil {
+			if t := next.Arrival - now; t >= 0 && t < dt {
 				dt = t
 			}
 		}
@@ -360,6 +284,10 @@ func (ss *Session) loopSparse(stop float64) error {
 		if hz >= 0 && now+dt > hz {
 			dt = hz - now
 		}
+		// An Advance stop bounds the epoch exactly the way a pending arrival
+		// does (same expression, same comparison), so a session stopping at
+		// an arrival takes the very float step the straight-through run —
+		// which has that arrival queued — takes.
 		if t := stop - now; t >= 0 && t < dt {
 			dt = t
 		}
@@ -379,12 +307,17 @@ func (ss *Session) loopSparse(stop float64) error {
 			s.Probe.EpochSample(now, dt, active, egUse, inUse, probeEg, probeIn)
 		}
 
-		// Advance over the same flow sequence the fused pass used; moved
-		// coflows are marked for the scheduler's key caches.
+		// Advance over the same flow sequence; coflows with completions are
+		// collected (flows are grouped by coflow, so last-element dedup is
+		// exact) and their live caches compacted once each.
 		now += dt
 		dirty := sc.dirty[:0]
-		if haveFail {
-			for _, f := range liveFlows {
+		for _, c := range active {
+			if !grantAll && !c.SimGranted() {
+				continue
+			}
+			c.MarkSimMoved()
+			for _, f := range c.LiveFlows() {
 				if f.Rate <= 0 {
 					continue
 				}
@@ -393,73 +326,38 @@ func (ss *Session) loopSparse(stop float64) error {
 					moved = f.Remaining
 				}
 				f.Remaining -= moved
-				f.Coflow.SentBytes += moved
-				f.Coflow.MarkSimMoved()
+				c.SentBytes += moved
 				rep.TotalBytes += moved
 				if f.Remaining <= completionEps {
 					f.Remaining = 0
 					f.Done = true
 					f.EndTime = now
-					if len(dirty) == 0 || dirty[len(dirty)-1] != f.Coflow {
-						dirty = append(dirty, f.Coflow)
+					if len(dirty) == 0 || dirty[len(dirty)-1] != c {
+						dirty = append(dirty, c)
 					}
 				}
 			}
-			sc.dirty = dirty
-			if len(dirty) > 0 {
-				scanRetire = true
-				for _, c := range dirty {
-					c.RefreshSim()
-				}
-				w := 0
-				for _, f := range liveFlows {
-					if !f.Done {
-						liveFlows[w] = f
-						w++
-					}
-				}
-				liveFlows = liveFlows[:w]
-			}
-		} else {
-			for _, c := range active {
-				if !grantDense && !c.SimGranted() {
-					continue
-				}
-				// Every iterated live flow carries rate here (MADD grants
-				// all live flows of a served coflow; a dense backfill grants
-				// every unfrozen flow at least the first level's α), so the
-				// coflow's key-relevant state is guaranteed to move.
-				c.MarkSimMoved()
-				for _, f := range c.LiveFlows() {
-					if f.Rate <= 0 {
-						continue
-					}
-					moved := f.Rate * dt
-					if moved > f.Remaining {
-						moved = f.Remaining
-					}
-					f.Remaining -= moved
-					f.Coflow.SentBytes += moved
-					rep.TotalBytes += moved
-					if f.Remaining <= completionEps {
-						f.Remaining = 0
-						f.Done = true
-						f.EndTime = now
-						if len(dirty) == 0 || dirty[len(dirty)-1] != f.Coflow {
-							dirty = append(dirty, f.Coflow)
-						}
-					}
-				}
-			}
-			sc.dirty = dirty
-			if len(dirty) > 0 {
-				scanRetire = true
-				for _, c := range dirty {
-					c.RefreshSim()
-				}
+		}
+		sc.dirty = dirty
+		if len(dirty) > 0 {
+			scanRetire = true
+			for _, c := range dirty {
+				c.RefreshSim()
 			}
 		}
 	}
 	save()
+	return nil
+}
+
+// nextReady returns the first queued coflow whose predecessors are all
+// done, or nil. The queue is arrival-sorted, so without Deps it is the
+// queue's head.
+func (ss *Session) nextReady() *coflow.Coflow {
+	for _, c := range ss.pending[ss.head:] {
+		if ss.s.depsDone(c, ss.s.scratch.completed) {
+			return c
+		}
+	}
 	return nil
 }

@@ -1,12 +1,13 @@
 package netsim_test
 
-// Edge cases for the event-horizon loop that the random matrices are
-// unlikely to hit exactly: completion and failure edges landing on the same
-// timestamp, coflows whose every flow carries zero rate (fully failed ports
-// — nothing enters the completion heap, the failure up-edge must bound the
-// epoch), Session.Advance stopping bit-identically at boundaries the sparse
-// loop would otherwise skip past, and ReleaseCompleted retiring coflows
-// mid-run without disturbing the report.
+// Edge cases for the event loop that the random matrices are unlikely to hit
+// exactly: completion and failure edges landing on the same timestamp,
+// coflows whose every flow carries zero rate (fully failed ports — no flow
+// projects a completion, the failure up-edge must bound the epoch),
+// Session.Advance stopping at boundaries the loop would otherwise skip past,
+// and ReleaseCompleted retiring coflows mid-run without disturbing the
+// report. Where two runs are compared, the "dense" one hides the
+// scheduler's grant report (see denseGrant) and the "sparse" one keeps it.
 
 import (
 	"fmt"
@@ -30,7 +31,7 @@ var retransmitPolicies = []struct {
 // TestEventHorizonCompletionMeetsFailureEdge pins the same-instant case: a
 // lone coflow drains a 400-byte flow over a 100-cap link, completing at
 // exactly t=4.0 — the instant one port fails transiently and another fails
-// permanently. A second coflow straddles the outage. Dense and sparse loops
+// permanently. A second coflow straddles the outage. Dense and sparse grants
 // must agree bit-for-bit on how the tie resolves, under every policy.
 func TestEventHorizonCompletionMeetsFailureEdge(t *testing.T) {
 	spec := workloadSpec{
@@ -52,8 +53,8 @@ func TestEventHorizonCompletionMeetsFailureEdge(t *testing.T) {
 	for _, pair := range schedPairs {
 		for _, pol := range retransmitPolicies {
 			tag := fmt.Sprintf("%s/%s", pair.name, pol.name)
-			runPair(t, tag, &spec, func() *netsim.Simulator {
-				sim := netsim.NewSimulator(spec.fabric(t), pair.prod())
+			runPair(t, tag, &spec, pair.prod, func(sched coflow.Scheduler) *netsim.Simulator {
+				sim := netsim.NewSimulator(spec.fabric(t), sched)
 				sim.Failures = fails
 				sim.Retransmit = pol.policy
 				return sim
@@ -62,11 +63,11 @@ func TestEventHorizonCompletionMeetsFailureEdge(t *testing.T) {
 	}
 }
 
-// TestEventHorizonZeroRateNeverBoundsEpoch pins the empty-heap case: the
+// TestEventHorizonZeroRateNeverBoundsEpoch pins the no-projection case: the
 // only admitted coflow sits on a port that is down for its entire early
-// life, so every flow has rate zero and nothing is pushed into the
-// completion heap. The epoch must be bounded by the failure up-edge alone —
-// identically in both loops — and the coflow completes only after repair.
+// life, so every flow has rate zero and none projects a completion. The
+// epoch must be bounded by the failure up-edge alone — identically with
+// dense and sparse grants — and the coflow completes only after repair.
 func TestEventHorizonZeroRateNeverBoundsEpoch(t *testing.T) {
 	spec := workloadSpec{
 		ports: 2,
@@ -80,18 +81,14 @@ func TestEventHorizonZeroRateNeverBoundsEpoch(t *testing.T) {
 	for _, pair := range schedPairs {
 		pair := pair
 		t.Run(pair.name, func(t *testing.T) {
-			runPair(t, pair.name, &spec, func() *netsim.Simulator {
-				sim := netsim.NewSimulator(spec.fabric(t), pair.prod())
+			mk := func(sched coflow.Scheduler) *netsim.Simulator {
+				sim := netsim.NewSimulator(spec.fabric(t), sched)
 				sim.Failures = fails
 				sim.Retransmit = netsim.RetransmitResume
 				return sim
-			})
-			cfs := spec.build()
-			sim := netsim.NewSimulator(spec.fabric(t), pair.prod())
-			sim.Failures = fails
-			sim.Retransmit = netsim.RetransmitResume
-			sim.EventHorizon = true
-			rep, err := sim.Run(cfs)
+			}
+			runPair(t, pair.name, &spec, pair.prod, mk)
+			rep, err := mk(pair.prod()).Run(spec.build())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -102,9 +99,9 @@ func TestEventHorizonZeroRateNeverBoundsEpoch(t *testing.T) {
 	}
 }
 
-// TestEventHorizonAdvanceBoundaries drives dense and sparse sessions through
-// an identical ladder of Advance stops — many landing mid-interval, where
-// the sparse loop would otherwise leap straight to the next completion — and
+// TestEventHorizonAdvanceBoundaries drives dense- and sparse-grant sessions
+// through an identical ladder of Advance stops — many landing mid-interval,
+// where the loop would otherwise leap straight to the next completion — and
 // demands bit-identical state (Digest) at every rung plus identical final
 // reports.
 func TestEventHorizonAdvanceBoundaries(t *testing.T) {
@@ -113,15 +110,14 @@ func TestEventHorizonAdvanceBoundaries(t *testing.T) {
 		t.Run(pair.name, func(t *testing.T) {
 			for seed := int64(200); seed < 212; seed++ {
 				spec := randomSpec(rand.New(rand.NewSource(seed)), pair.deadlines)
-				spec.deps = nil
 				spec.horizon = 0
 				fab := spec.fabric(t)
 				tag := fmt.Sprintf("%s/seed=%d", pair.name, seed)
 
-				mk := func(horizon bool) (*netsim.Session, []*coflow.Coflow, error) {
-					sim := netsim.NewSimulator(fab, pair.prod())
+				mk := func(sched coflow.Scheduler) (*netsim.Session, []*coflow.Coflow, error) {
+					sim := netsim.NewSimulator(fab, sched)
 					sim.Events = spec.events
-					sim.EventHorizon = horizon
+					sim.Deps = spec.deps
 					ss, err := sim.Session()
 					if err != nil {
 						return nil, nil, err
@@ -134,11 +130,11 @@ func TestEventHorizonAdvanceBoundaries(t *testing.T) {
 					}
 					return ss, cfs, nil
 				}
-				dense, denseCfs, err := mk(false)
+				dense, denseCfs, err := mk(denseGrant(pair.prod()))
 				if err != nil {
 					t.Fatal(err)
 				}
-				sparse, sparseCfs, err := mk(true)
+				sparse, sparseCfs, err := mk(pair.prod())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -173,25 +169,24 @@ func TestEventHorizonAdvanceBoundaries(t *testing.T) {
 }
 
 // TestEventHorizonInterleavedAdmits stages coflows between Advance stops,
-// so new arrivals join a sparse admission queue whose front has already been
+// so new arrivals join an admission queue whose front has already been
 // admitted (the queue's slide-back path in Session.stage), and demands the
-// dense session's Digest at every rung and its final report.
+// dense-grant session's Digest at every rung and its final report.
 func TestEventHorizonInterleavedAdmits(t *testing.T) {
 	for _, pair := range schedPairs {
 		t.Run(pair.name, func(t *testing.T) {
 		seeds:
 			for seed := int64(300); seed < 308; seed++ {
 				spec := randomSpec(rand.New(rand.NewSource(seed)), pair.deadlines)
-				spec.deps = nil
 				spec.horizon = 0
 				fab := spec.fabric(t)
 				tag := fmt.Sprintf("%s/seed=%d", pair.name, seed)
 				var sessions [2]*netsim.Session
 				var cfs [2][]*coflow.Coflow
-				for i, horizon := range []bool{false, true} {
-					sim := netsim.NewSimulator(fab, pair.prod())
+				for i, sched := range []coflow.Scheduler{denseGrant(pair.prod()), pair.prod()} {
+					sim := netsim.NewSimulator(fab, sched)
 					sim.Events = spec.events
-					sim.EventHorizon = horizon
+					sim.Deps = spec.deps
 					ss, err := sim.Session()
 					if err != nil {
 						t.Fatal(err)
@@ -228,11 +223,11 @@ func TestEventHorizonInterleavedAdmits(t *testing.T) {
 	}
 }
 
-// TestEventHorizonReleaseCompleted streams enough coflows through a sparse
-// session that the completed-coflow compaction provably triggers, then
-// checks the report against a dense run that retains everything: same CCTs,
-// same makespan, same (weighted) averages — summed in ID order, which for
-// arrival-ordered IDs is the dense input order, so equality is exact.
+// TestEventHorizonReleaseCompleted streams enough coflows through a session
+// that the completed-coflow compaction provably triggers, then checks the
+// report against a batch run that retains everything: same CCTs, same
+// makespan, same (weighted) averages — summed in ID order, which for
+// arrival-ordered IDs is the batch input order, so equality is exact.
 func TestEventHorizonReleaseCompleted(t *testing.T) {
 	const n = 120
 	rng := rand.New(rand.NewSource(7))
@@ -271,7 +266,6 @@ func TestEventHorizonReleaseCompleted(t *testing.T) {
 			}
 
 			sim := netsim.NewSimulator(fab, pair.prod())
-			sim.EventHorizon = true
 			sim.ReleaseCompleted = true
 			ss, err := sim.Session()
 			if err != nil {
@@ -287,12 +281,8 @@ func TestEventHorizonReleaseCompleted(t *testing.T) {
 			if err := ss.Advance(math.Inf(1)); err != nil {
 				t.Fatal(err)
 			}
-			// Release happens inside the sparse loop; schedulers without
-			// sparse support fall back to the dense loop and retain all.
-			if _, sparseCapable := pair.prod().(coflow.SparseAllocator); sparseCapable {
-				if got := ss.AdmittedCount(); got >= n {
-					t.Errorf("AdmittedCount=%d: completed coflows were never released", got)
-				}
+			if got := ss.AdmittedCount(); got >= n {
+				t.Errorf("AdmittedCount=%d: completed coflows were never released", got)
 			}
 			relRep, err := ss.Finish()
 			if err != nil {
@@ -339,7 +329,6 @@ func TestReleaseCompletedRejectsFailures(t *testing.T) {
 		},
 	}
 	sim := netsim.NewSimulator(spec.fabric(t), coflow.NewVarys())
-	sim.EventHorizon = true
 	sim.ReleaseCompleted = true
 	sim.Failures = []netsim.PortFailure{{Port: 0, Down: 1, Up: 2}}
 	if _, err := sim.Run(spec.build()); err == nil {

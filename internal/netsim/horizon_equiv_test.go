@@ -1,22 +1,38 @@
 package netsim_test
 
-// Event-horizon equivalence: the sparse loop (Simulator.EventHorizon) must be
-// *bit-identical* to the dense loop. Every sparse shortcut is a proof-carrying
-// no-op (prefix admission pops the same coflows in the same order, skipped
-// retirement scans would have found nothing, ungranted flows contribute +0.0
-// to port sums and move no bytes, the completion heap recovers the exact
-// min(Remaining/Rate), cached priority keys are pure functions of unchanged
-// state), so the comparison is exact equality on every Report and per-flow
-// field — no epsilons — across the seed × scheduler matrix, with and without
-// failure schedules whose edges straddle the epochs the dense loop probes.
+// Grant equivalence: the event loop restricts its flow passes to the coflows
+// the scheduler granted rates (coflow.SparseAllocator), and treats a
+// scheduler without grant reports as granting everywhere. Both must give
+// *bit-identical* runs: ungranted flows carry rate 0, so they add +0.0 to
+// the port sums, move no bytes and never bound dt, and re-keying a coflow
+// whose state did not change reproduces its key. The "dense" side of each
+// comparison hides the scheduler's grant report; the "sparse" side keeps it.
+// The comparison is exact equality on every Report and per-flow field — no
+// epsilons — across the seed × scheduler matrix, with and without failure
+// schedules.
 
 import (
 	"fmt"
 	"math/rand"
 	"testing"
 
+	"ccf/internal/coflow"
 	"ccf/internal/netsim"
 )
+
+// grantAll hides a scheduler's grant report, so the loop treats it as
+// granting rates everywhere.
+type grantAll struct{ coflow.Scheduler }
+
+// denseGrant wraps a scheduler that reports grants in grantAll. Schedulers
+// that do not report grants already take that path, and keep their other
+// interfaces (such as the deadline scheduler's CapacityObserver).
+func denseGrant(s coflow.Scheduler) coflow.Scheduler {
+	if _, ok := s.(coflow.SparseAllocator); ok {
+		return grantAll{s}
+	}
+	return s
+}
 
 // withFailures decorates a random spec with a failure schedule drawn from the
 // same rng: 1–3 outages (some permanent, some overlapping), edges spread over
@@ -36,27 +52,32 @@ func withFailures(rng *rand.Rand, spec *workloadSpec) []netsim.PortFailure {
 	return fails
 }
 
-func runPair(t *testing.T, tag string, spec *workloadSpec, prod func() *netsim.Simulator) {
+// runPair runs the spec once with the scheduler's grant report hidden and
+// once with it, and compares the two runs exactly.
+func runPair(t *testing.T, tag string, spec *workloadSpec, prod func() coflow.Scheduler,
+	mk func(coflow.Scheduler) *netsim.Simulator) {
 	t.Helper()
 	denseCfs := spec.build()
-	denseSim := prod()
-	denseRep, denseErr := denseSim.Run(denseCfs)
+	denseRep, denseErr := mk(denseGrant(prod())).Run(denseCfs)
 
-	horizonCfs := spec.build()
-	horizonSim := prod()
-	horizonSim.EventHorizon = true
-	horizonRep, horizonErr := horizonSim.Run(horizonCfs)
+	sparseCfs := spec.build()
+	sparseRep, sparseErr := mk(prod()).Run(sparseCfs)
 
-	compareRuns(t, tag, spec, horizonCfs, denseCfs, horizonRep, denseRep, horizonErr, denseErr)
-	if denseErr == nil && horizonRep.WeightedAvgCCT != denseRep.WeightedAvgCCT {
-		t.Errorf("%s: WeightedAvgCCT %v != %v", tag, horizonRep.WeightedAvgCCT, denseRep.WeightedAvgCCT)
+	compareRuns(t, tag, spec, sparseCfs, denseCfs, sparseRep, denseRep, sparseErr, denseErr)
+	if denseErr == nil {
+		if sparseRep.WeightedAvgCCT != denseRep.WeightedAvgCCT {
+			t.Errorf("%s: WeightedAvgCCT %v != %v", tag, sparseRep.WeightedAvgCCT, denseRep.WeightedAvgCCT)
+		}
+		if sparseRep.WastedBytes != denseRep.WastedBytes {
+			t.Errorf("%s: WastedBytes %v != %v", tag, sparseRep.WastedBytes, denseRep.WastedBytes)
+		}
 	}
 }
 
-// TestEventHorizonMatchesDense is the golden sparse-vs-dense property test:
-// the full scheduler matrix over seeded random workloads (heterogeneous
-// fabrics, staggered arrivals, capacity events including full outages,
-// horizons, dependency DAGs — which exercise the documented dense fallback).
+// TestEventHorizonMatchesDense is the golden grant-equivalence property
+// test: the full scheduler matrix over seeded random workloads
+// (heterogeneous fabrics, staggered arrivals, capacity events including full
+// outages, horizons, dependency DAGs).
 func TestEventHorizonMatchesDense(t *testing.T) {
 	const seeds = 32
 	for _, pair := range schedPairs {
@@ -65,9 +86,9 @@ func TestEventHorizonMatchesDense(t *testing.T) {
 			for seed := int64(0); seed < seeds; seed++ {
 				spec := randomSpec(rand.New(rand.NewSource(seed)), pair.deadlines)
 				fab := spec.fabric(t)
-				runPair(t, fmt.Sprintf("%s/seed=%d", pair.name, seed), &spec,
-					func() *netsim.Simulator {
-						sim := netsim.NewSimulator(fab, pair.prod())
+				runPair(t, fmt.Sprintf("%s/seed=%d", pair.name, seed), &spec, pair.prod,
+					func(sched coflow.Scheduler) *netsim.Simulator {
+						sim := netsim.NewSimulator(fab, sched)
 						sim.Events = spec.events
 						sim.Deps = spec.deps
 						if spec.horizon > 0 {
@@ -80,35 +101,27 @@ func TestEventHorizonMatchesDense(t *testing.T) {
 	}
 }
 
-// TestEventHorizonMatchesDenseUnderFailures pins the sparse loop against
+// TestEventHorizonMatchesDenseUnderFailures pins the granted passes against
 // failure schedules under every retransmission policy: down/up edges land
-// between, and exactly on, the completion epochs the dense loop steps
-// through, voiding progress and (under restart-delivered) resurrecting
-// delivered flows into the live set mid-run.
+// between, and exactly on, completion epochs, voiding progress and (under
+// restart-delivered) resurrecting delivered flows into their coflows' live
+// sets mid-run.
 func TestEventHorizonMatchesDenseUnderFailures(t *testing.T) {
 	const seeds = 24
-	policies := []struct {
-		name   string
-		policy netsim.RetransmitPolicy
-	}{
-		{"restart", netsim.RetransmitRestart},
-		{"resume", netsim.RetransmitResume},
-		{"restart-delivered", netsim.RetransmitRestartDelivered},
-	}
 	for _, pair := range schedPairs {
 		pair := pair
 		t.Run(pair.name, func(t *testing.T) {
-			for _, pol := range policies {
+			for _, pol := range retransmitPolicies {
 				for seed := int64(0); seed < seeds; seed++ {
 					rng := rand.New(rand.NewSource(seed))
 					spec := randomSpec(rng, pair.deadlines)
-					spec.deps = nil // exercise the sparse loop, not the fallback
 					fails := withFailures(rng, &spec)
 					fab := spec.fabric(t)
 					tag := fmt.Sprintf("%s/%s/seed=%d", pair.name, pol.name, seed)
-					runPair(t, tag, &spec, func() *netsim.Simulator {
-						sim := netsim.NewSimulator(fab, pair.prod())
+					runPair(t, tag, &spec, pair.prod, func(sched coflow.Scheduler) *netsim.Simulator {
+						sim := netsim.NewSimulator(fab, sched)
 						sim.Events = spec.events
+						sim.Deps = spec.deps
 						sim.Failures = fails
 						sim.Retransmit = pol.policy
 						if spec.horizon > 0 {
@@ -122,38 +135,35 @@ func TestEventHorizonMatchesDenseUnderFailures(t *testing.T) {
 	}
 }
 
-// TestEventHorizonReusedSchedulerClearsSparse pins the Session.begin
-// contract: a scheduler instance moved from an event-horizon simulator to a
-// plain one must drop the sparse bookkeeping (and vice versa), matching a
-// fresh dense run exactly.
+// TestEventHorizonReusedSchedulerClearsSparse pins scheduler reuse: a
+// scheduler instance that already drove one run — leaving its grant list,
+// backfill flag and priority order behind — must drive the next run exactly
+// like a fresh instance. The warm-up run hides the grant report, so the
+// reused scheduler's first grants follow a run the loop scanned in full.
 func TestEventHorizonReusedSchedulerClearsSparse(t *testing.T) {
 	for _, pair := range schedPairs {
 		pair := pair
 		t.Run(pair.name, func(t *testing.T) {
 			spec := randomSpec(rand.New(rand.NewSource(11)), pair.deadlines)
 			fab := spec.fabric(t)
+			mk := func(sched coflow.Scheduler) *netsim.Simulator {
+				sim := netsim.NewSimulator(fab, sched)
+				sim.Events = spec.events
+				sim.Deps = spec.deps
+				return sim
+			}
 
-			denseCfs := spec.build()
-			denseSim := netsim.NewSimulator(fab, pair.prod())
-			denseSim.Events = spec.events
-			denseSim.Deps = spec.deps
-			denseRep, denseErr := denseSim.Run(denseCfs)
+			freshCfs := spec.build()
+			freshRep, freshErr := mk(pair.prod()).Run(freshCfs)
 
 			sched := pair.prod()
-			warmSim := netsim.NewSimulator(fab, sched)
-			warmSim.Events = spec.events
-			warmSim.Deps = spec.deps
-			warmSim.EventHorizon = true
-			if _, err := warmSim.Run(spec.build()); (err != nil) != (denseErr != nil) {
-				t.Fatalf("horizon warm-up error mismatch: %v vs %v", err, denseErr)
+			if _, err := mk(denseGrant(sched)).Run(spec.build()); (err != nil) != (freshErr != nil) {
+				t.Fatalf("warm-up error mismatch: %v vs %v", err, freshErr)
 			}
-			plainCfs := spec.build()
-			plainSim := netsim.NewSimulator(fab, sched)
-			plainSim.Events = spec.events
-			plainSim.Deps = spec.deps
-			plainRep, plainErr := plainSim.Run(plainCfs)
-			compareRuns(t, pair.name+"/after-horizon", &spec,
-				plainCfs, denseCfs, plainRep, denseRep, plainErr, denseErr)
+			reusedCfs := spec.build()
+			reusedRep, reusedErr := mk(sched).Run(reusedCfs)
+			compareRuns(t, pair.name+"/reused", &spec,
+				reusedCfs, freshCfs, reusedRep, freshRep, reusedErr, freshErr)
 		})
 	}
 }

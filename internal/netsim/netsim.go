@@ -163,23 +163,17 @@ type Simulator struct {
 	// to internal/refsim. A non-nil probe must never mutate simulator state;
 	// the telemetry equivalence test pins that observing does not perturb.
 	Probe Probe
-	// EventHorizon opts the session loop into the sparse (event-horizon)
-	// engine: per-epoch cost scales with the coflows whose state changed —
-	// admission-queue prefix pops, retirement scans gated on completion
-	// edges, flow passes over the rate-granted set only, and a min-heap of
-	// projected completion times — instead of with everything active.
-	// Bit-identical to the dense path (pinned by the horizon equivalence
-	// suite); engages only for schedulers implementing
-	// coflow.SparseAllocator and for runs without Deps (anything else falls
-	// back to the dense loop). See DESIGN.md §16.
+	// EventHorizon is ignored.
+	//
+	// Deprecated: every run uses the event-horizon loop (DESIGN.md §16).
 	EventHorizon bool
 	// ReleaseCompleted lets a session drop completed coflows so streamed
 	// replays and long-running engines hold only live state: each released
 	// coflow leaves a small tombstone in admission order, so Digest, the
 	// Report and every CCT are bit-identical with release on or off, while
-	// AdmittedCount counts only the retained coflows. Applies to both the
-	// dense and the sparse loop; incompatible with Failures (recovery
-	// accounting needs the full coflow population at the end of the run).
+	// AdmittedCount counts only the retained coflows. Incompatible with
+	// Failures (recovery accounting needs the full coflow population at the
+	// end of the run).
 	ReleaseCompleted bool
 
 	// scratch holds the per-run buffers so repeated Runs (parameter sweeps,
@@ -199,24 +193,21 @@ const NoHorizon = -1
 // runScratch is the simulator's reusable per-run storage. Sized on first use
 // and only ever grown; the event loop itself allocates nothing at steady
 // state (the per-run CCT map entries are the one unavoidable exception, and
-// RunInto lets callers recycle even those). The queue/active/live-flow lists
-// live on the Session, which is equally reused.
+// RunInto lets callers recycle even those). The queue and active lists live
+// on the Session, which is equally reused.
 type runScratch struct {
 	events       []CapacityEvent
 	egFac, inFac []float64
 	egCap, inCap []float64
 	egUse, inUse []float64        // fused rate-check accumulators
 	dirty        []*coflow.Coflow // coflows with completions this epoch
-	completed    map[int]bool
+	completed    map[int]bool     // coflows completed so far; filled only with Deps
 	known        map[int]bool
 	downCnt      []int            // per-port count of outages covering now
 	failEv       []failTransition // time-sorted failure edges
 	// probeEg/probeIn snapshot the effective per-port capacities for the
 	// probe's EpochSample; filled only when a probe is attached.
 	probeEg, probeIn []float64
-	// horizon is the sparse loop's min-heap of projected flow-completion
-	// times (see horizon.go); untouched by the dense loop.
-	horizon completionHeap
 }
 
 // CapacityEvent rescales one port's capacities at a point in time. Factors
@@ -304,43 +295,46 @@ func (s *Simulator) RunInto(coflows []*coflow.Coflow, rep *Report) error {
 
 // applyPortDown handles the down edge of a failure: void progress per the
 // retransmission policy, account waste, and (under restart-delivered)
-// re-enter delivered flows of in-flight coflows into the live set. Returns
-// the (possibly extended) flat live-flow list.
-func (s *Simulator) applyPortDown(tr failTransition, now float64, active []*coflow.Coflow,
-	liveFlows []*coflow.Flow, rep *Report) []*coflow.Flow {
+// re-enter delivered flows of in-flight coflows into their live sets. Flows
+// are walked in active × live order, the order of the loop's own passes.
+func (s *Simulator) applyPortDown(tr failTransition, now float64, active []*coflow.Coflow, rep *Report) {
 	out := &rep.Failures[tr.out]
 	if s.Retransmit == RetransmitResume {
 		// Checkpointed transfers: nothing is lost, flows wait out the
 		// outage. Count them so the outcome still reflects the blast
 		// radius.
-		for _, f := range liveFlows {
-			if f.Src == tr.port || f.Dst == tr.port {
-				out.FlowsHit++
-				if s.Probe != nil {
-					s.Probe.FlowHit(now, f.Coflow, f, false)
+		for _, c := range active {
+			for _, f := range c.LiveFlows() {
+				if f.Src == tr.port || f.Dst == tr.port {
+					out.FlowsHit++
+					if s.Probe != nil {
+						s.Probe.FlowHit(now, c, f, false)
+					}
 				}
 			}
 		}
-		return liveFlows
+		return
 	}
-	for _, f := range liveFlows {
-		if f.Src != tr.port && f.Dst != tr.port {
-			continue
-		}
-		out.FlowsHit++
-		restarted := false
-		if prog := f.Size - f.Remaining; prog > 0 {
-			out.WastedBytes += prog
-			rep.WastedBytes += prog
-			f.Remaining = f.Size
-			// Voided progress changes the coflow's remaining-byte state, so
-			// sparse-mode priority-key caches must be invalidated.
-			f.Coflow.MarkSimMoved()
-			bumpRestart(rep, f.Coflow.ID)
-			restarted = true
-		}
-		if s.Probe != nil {
-			s.Probe.FlowHit(now, f.Coflow, f, restarted)
+	for _, c := range active {
+		for _, f := range c.LiveFlows() {
+			if f.Src != tr.port && f.Dst != tr.port {
+				continue
+			}
+			out.FlowsHit++
+			restarted := false
+			if prog := f.Size - f.Remaining; prog > 0 {
+				out.WastedBytes += prog
+				rep.WastedBytes += prog
+				f.Remaining = f.Size
+				// Voided progress changes the coflow's remaining-byte
+				// state, so its priority key must be recomputed.
+				c.MarkSimMoved()
+				bumpRestart(rep, c.ID)
+				restarted = true
+			}
+			if s.Probe != nil {
+				s.Probe.FlowHit(now, c, f, restarted)
+			}
 		}
 	}
 	if s.Retransmit == RetransmitRestartDelivered {
@@ -361,7 +355,6 @@ func (s *Simulator) applyPortDown(tr failTransition, now float64, active []*cofl
 				f.Rate = 0
 				f.EndTime = 0
 				c.Reactivate(f)
-				liveFlows = append(liveFlows, f)
 				bumpRestart(rep, c.ID)
 				if s.Probe != nil {
 					s.Probe.FlowHit(now, c, f, true)
@@ -369,7 +362,6 @@ func (s *Simulator) applyPortDown(tr failTransition, now float64, active []*cofl
 			}
 		}
 	}
-	return liveFlows
 }
 
 // finalizeFailures fills the recovery fields of each outcome after the run:

@@ -1,8 +1,8 @@
 package netsim
 
 // Session is the resumable form of a simulation run: the same event loop
-// RunInto drives to completion, parked between calls so callers can interleave
-// time with decisions. Run/RunInto are now thin wrappers over a session that
+// (Session.loop, horizon.go) RunInto drives to completion, parked between
+// calls so callers can interleave time with decisions. Run/RunInto are now thin wrappers over a session that
 // is begun, fed every coflow up front, and advanced to the end in one call;
 // the online co-optimizer instead keeps ONE session alive across a whole job
 // stream — Advance(t) moves the live simulation to the next arrival,
@@ -64,9 +64,8 @@ type Session struct {
 	now      float64
 	iter     int // event-loop iterations consumed, bounded by MaxEpochs
 	pending  []*coflow.Coflow
-	head     int // sparse loop: pending[:head] is already admitted (see stage)
+	head     int // pending[:head] is already admitted (see stage)
 	active   []*coflow.Coflow
-	live     []*coflow.Flow  // flat non-done flows of the active coflows
 	all      []admission     // every admitted coflow, in admission order
 	kept     []int           // indices into all of the retained coflows
 	events   []CapacityEvent // unapplied suffix of the sorted event schedule
@@ -77,11 +76,6 @@ type Session struct {
 	finished bool
 	err      error
 
-	// Event-horizon (sparse) mode: set at begin when the simulator opts in,
-	// the scheduler implements coflow.SparseAllocator, and the run has no
-	// Deps. The loop then dispatches to loopSparse (horizon.go).
-	sparse bool
-	sa     coflow.SparseAllocator
 	// release mirrors Simulator.ReleaseCompleted for this session; retired
 	// counts coflows completed since the last release sweep.
 	release bool
@@ -129,7 +123,6 @@ func (ss *Session) begin(s *Simulator, rep *Report) error {
 		ownRep:  ss.ownRep,
 		pending: ss.pending[:0],
 		active:  ss.active[:0],
-		live:    ss.live[:0],
 		all:     ss.all[:0],
 		kept:    ss.kept[:0],
 		begun:   true,
@@ -190,19 +183,6 @@ func (ss *Session) begin(s *Simulator, rep *Report) error {
 	}
 	sc.failEv = failEv
 	ss.obs, _ = s.sched.(coflow.CapacityObserver)
-	// Event-horizon mode: sparse only when the simulator opts in, the run
-	// has no dependency graph (admission must be a pure arrival-order prefix
-	// pop), and the scheduler upholds the sparse contract. The toggle
-	// is propagated unconditionally so a scheduler reused on a dense
-	// simulator drops its sparse bookkeeping.
-	ss.sparse = s.EventHorizon && len(s.Deps) == 0
-	if sa, ok := s.sched.(coflow.SparseAllocator); ok {
-		ss.sa = sa
-		sa.SetSparse(ss.sparse)
-	} else {
-		ss.sa = nil
-		ss.sparse = false
-	}
 	ss.release = s.ReleaseCompleted
 	if ss.release && len(s.Failures) > 0 {
 		return errors.New("netsim: ReleaseCompleted is incompatible with Failures (recovery accounting needs the full coflow set)")
@@ -303,8 +283,8 @@ func (ss *Session) stage(c *coflow.Coflow) {
 	// Insert into the arrival-sorted admission queue; per-item insertion of a
 	// stable sort is itself stable, so batch admission (RunInto) and
 	// streaming admission order ties identically.
-	// The sparse loop pops admissions by advancing head, so the queue keeps
-	// its front capacity. Once the admitted prefix is at least as long as
+	// The loop pops admissions by advancing head, so the queue keeps its
+	// front capacity. Once the admitted prefix is at least as long as
 	// the queue, slide the queue back to the front: amortized O(1) per
 	// coflow, and admitted coflows are not kept reachable indefinitely.
 	if ss.head > 0 && 2*ss.head >= len(ss.pending) {
@@ -482,311 +462,21 @@ func (ss *Session) BacklogInto(egress, ingress []int64) error {
 		egress[p], ingress[p] = 0, 0
 	}
 	addBacklog(egress, ingress, ss.active)
-	addBacklog(egress, ingress, ss.pending[ss.head:]) // the dense loop keeps head at 0
+	addBacklog(egress, ingress, ss.pending[ss.head:])
 	return nil
 }
 
 // depsDone reports whether every declared predecessor of c has completed.
 func (s *Simulator) depsDone(c *coflow.Coflow, completed map[int]bool) bool {
+	if len(s.Deps) == 0 {
+		return true
+	}
 	for _, dep := range s.Deps[c.ID] {
 		if !completed[dep] {
 			return false
 		}
 	}
 	return true
-}
-
-// loop is the event loop: fluid epochs between completions, arrivals,
-// capacity events and failure edges, stopping once `now` reaches `stop` (or
-// the legacy Simulator.Horizon) or the session drains. It is RunInto's former
-// body with the run-local state lifted into the session so it can park and
-// resume; the float arithmetic is untouched and stays allocation-free at
-// steady state.
-func (ss *Session) loop(stop float64) error {
-	if ss.sparse {
-		return ss.loopSparse(stop)
-	}
-	s := ss.s
-	sc := &s.scratch
-	rep := ss.rep
-	ports := s.fabric.Ports
-	hz := s.Horizon
-	completed := sc.completed
-	egFac, inFac := sc.egFac[:ports], sc.inFac[:ports]
-	egCap, inCap := sc.egCap[:ports], sc.inCap[:ports]
-	egUse, inUse := sc.egUse[:ports], sc.inUse[:ports]
-	downCnt := sc.downCnt[:ports]
-	failEv := sc.failEv
-	haveFail := ss.haveFail
-
-	now := ss.now
-	pending, active, liveFlows := ss.pending, ss.active, ss.live
-	events, nextFail := ss.events, ss.nextFail
-	// save parks the loop state back in the session; called (not deferred —
-	// a deferred closure would allocate) before every exit.
-	save := func() {
-		ss.now, ss.pending, ss.active, ss.live = now, pending, active, liveFlows
-		ss.events, ss.nextFail = events, nextFail
-	}
-
-	for {
-		if ss.iter >= s.MaxEpochs {
-			save()
-			return fmt.Errorf("netsim: exceeded %d epochs (scheduler %q livelock?)", s.MaxEpochs, s.sched.Name())
-		}
-		ss.iter++
-		// Admit arrivals (time reached and dependencies completed) and
-		// apply due capacity events. A dependency-gated coflow's Arrival is
-		// advanced to its release time so its CCT measures active transfer.
-		stillPending := pending[:0]
-		for _, c := range pending {
-			if c.Arrival <= now+1e-12 && s.depsDone(c, completed) {
-				if c.Arrival < now {
-					c.Arrival = now
-				}
-				active = append(active, c)
-				liveFlows = append(liveFlows, c.LiveFlows()...)
-				if s.Probe != nil {
-					s.Probe.CoflowAdmitted(now, c)
-				}
-				continue
-			}
-			stillPending = append(stillPending, c)
-		}
-		pending = stillPending
-		for len(events) > 0 && events[0].Time <= now+1e-12 {
-			ev := events[0]
-			events = events[1:]
-			egFac[ev.Port] = ev.EgressFactor
-			inFac[ev.Port] = ev.IngressFactor
-		}
-		// Apply due failure edges. Down edges void progress per the
-		// retransmission policy and may re-enter delivered flows into the
-		// live set; both edges invalidate capacity-dependent scheduler
-		// state (deadline admissions).
-		for nextFail < len(failEv) && failEv[nextFail].time <= now+1e-12 {
-			tr := failEv[nextFail]
-			nextFail++
-			if tr.up {
-				downCnt[tr.port]--
-			} else {
-				downCnt[tr.port]++
-				liveFlows = s.applyPortDown(tr, now, active, liveFlows, rep)
-			}
-			if s.Probe != nil {
-				s.Probe.FailureEdge(now, tr.port, tr.up)
-			}
-			if ss.obs != nil {
-				ss.obs.CapacityChanged(now)
-			}
-		}
-		// Retire completed coflows (O(1) per coflow via the live-flow cache).
-		liveCF := active[:0]
-		for _, c := range active {
-			if c.Finished() {
-				if !c.Completed {
-					c.Completed = true
-					c.Completion = now
-					completed[c.ID] = true
-					cct, err := c.CCT()
-					if err != nil {
-						save()
-						return err
-					}
-					rep.CCTs[c.ID] = cct
-					ss.retired++
-					if s.Probe != nil {
-						s.Probe.CoflowCompleted(now, c)
-					}
-				}
-				continue
-			}
-			liveCF = append(liveCF, c)
-		}
-		active = liveCF
-		if ss.release {
-			ss.releaseCompleted()
-		}
-
-		if hz >= 0 && now >= hz-1e-12 {
-			now = hz
-			break
-		}
-		if now >= stop-1e-12 {
-			break
-		}
-		if len(active) == 0 {
-			if len(pending) == 0 {
-				break
-			}
-			// Jump to the first eligible (dependency-satisfied) arrival.
-			next := math.Inf(1)
-			for _, c := range pending {
-				if s.depsDone(c, completed) {
-					next = c.Arrival
-					break // pending stays sorted by arrival
-				}
-			}
-			if math.IsInf(next, 1) {
-				save()
-				return fmt.Errorf("netsim: %d coflows blocked on dependencies that can never complete (cycle?)", len(pending))
-			}
-			if hz >= 0 && next >= hz {
-				now = hz
-				break
-			}
-			if next > stop {
-				break
-			}
-			// A dependency released mid-run has an arrival in the past;
-			// time never rewinds — re-run admission at the current time.
-			if next > now {
-				now = next
-			}
-			continue
-		}
-
-		// Scheduling epoch.
-		rep.Epochs++
-		for p := 0; p < ports; p++ {
-			egCap[p] = s.fabric.EgressCap[p] * egFac[p]
-			inCap[p] = s.fabric.IngressCap[p] * inFac[p]
-			egUse[p], inUse[p] = 0, 0
-		}
-		if haveFail {
-			for p, d := range downCnt {
-				if d > 0 {
-					egCap[p], inCap[p] = 0, 0
-				}
-			}
-		}
-		s.sched.Allocate(now, active, egCap, inCap)
-
-		// One fused pass over the flat live-flow list: validate rates,
-		// accumulate per-port usage, and find the time to next completion.
-		// The flat list holds exactly the non-done flows in (coflow, flow)
-		// order, so the float accumulation matches the original nested scan.
-		dt := math.Inf(1)
-		for _, f := range liveFlows {
-			if f.Rate < 0 {
-				save()
-				return fmt.Errorf("netsim: scheduler %q set negative rate %g on flow %d", s.sched.Name(), f.Rate, f.ID)
-			}
-			egUse[f.Src] += f.Rate
-			inUse[f.Dst] += f.Rate
-			if f.Rate > 0 {
-				if t := f.Remaining / f.Rate; t < dt {
-					dt = t
-				}
-			}
-		}
-		// Port capacity check with 0.1% tolerance for float accumulation —
-		// keeps every scheduler honest under the property tests.
-		const tolAbs = 1e-9
-		tol := 1 + 1e-3
-		for p := 0; p < ports; p++ {
-			egLim := s.fabric.EgressCap[p] * egFac[p] * tol
-			inLim := s.fabric.IngressCap[p] * inFac[p] * tol
-			if haveFail && downCnt[p] > 0 {
-				egLim, inLim = 0, 0
-			}
-			if egUse[p] > egLim+tolAbs || inUse[p] > inLim+tolAbs {
-				save()
-				return fmt.Errorf("netsim: scheduler %q oversubscribed port %d (eg=%.3g/%.3g in=%.3g/%.3g)",
-					s.sched.Name(), p, egUse[p], egLim, inUse[p], inLim)
-			}
-		}
-
-		// ... or next eligible arrival or capacity event, whichever first.
-		// Dependency-gated coflows release at a completion, which is
-		// already a dt boundary, so only dependency-satisfied arrivals
-		// bound the step.
-		for _, c := range pending {
-			if s.depsDone(c, completed) {
-				if t := c.Arrival - now; t >= 0 && t < dt {
-					dt = t
-				}
-				break
-			}
-		}
-		if len(events) > 0 {
-			if t := events[0].Time - now; t < dt {
-				dt = t
-			}
-		}
-		if nextFail < len(failEv) {
-			if t := failEv[nextFail].time - now; t < dt {
-				dt = t
-			}
-		}
-		if hz >= 0 && now+dt > hz {
-			dt = hz - now
-		}
-		// An Advance stop bounds the epoch exactly the way a pending arrival
-		// does (same expression, same comparison), so a session stopping at
-		// an arrival takes the very float step the straight-through run —
-		// which has that arrival in pending — takes.
-		if t := stop - now; t >= 0 && t < dt {
-			dt = t
-		}
-		if math.IsInf(dt, 1) {
-			save()
-			return fmt.Errorf("%w: %d coflows active under scheduler %q", ErrStalled, len(active), s.sched.Name())
-		}
-		if s.Probe != nil {
-			probeEg, probeIn := sc.probeEg[:ports], sc.probeIn[:ports]
-			for p := 0; p < ports; p++ {
-				probeEg[p] = s.fabric.EgressCap[p] * egFac[p]
-				probeIn[p] = s.fabric.IngressCap[p] * inFac[p]
-				if haveFail && downCnt[p] > 0 {
-					probeEg[p], probeIn[p] = 0, 0
-				}
-			}
-			s.Probe.EpochSample(now, dt, active, egUse, inUse, probeEg, probeIn)
-		}
-
-		// Advance along the flat list; coflows that lost flows are marked
-		// dirty (the list is grouped by coflow, so last-element dedup is
-		// exact) and compacted in one batched pass afterwards.
-		now += dt
-		dirty := sc.dirty[:0]
-		for _, f := range liveFlows {
-			if f.Rate <= 0 {
-				continue
-			}
-			moved := f.Rate * dt
-			if moved > f.Remaining {
-				moved = f.Remaining
-			}
-			f.Remaining -= moved
-			f.Coflow.SentBytes += moved
-			rep.TotalBytes += moved
-			if f.Remaining <= completionEps {
-				f.Remaining = 0
-				f.Done = true
-				f.EndTime = now
-				if len(dirty) == 0 || dirty[len(dirty)-1] != f.Coflow {
-					dirty = append(dirty, f.Coflow)
-				}
-			}
-		}
-		sc.dirty = dirty
-		if len(dirty) > 0 {
-			for _, c := range dirty {
-				c.RefreshSim()
-			}
-			w := 0
-			for _, f := range liveFlows {
-				if !f.Done {
-					liveFlows[w] = f
-					w++
-				}
-			}
-			liveFlows = liveFlows[:w]
-		}
-	}
-	save()
-	return nil
 }
 
 // finalize fills the aggregate report fields from the session's end state:

@@ -149,12 +149,14 @@ func (s *Simulator) Run(coflows []*coflow.Coflow) (*netsim.Report, error) {
 		}
 		// Retire completed coflows.
 		live := active[:0]
+		retired := false
 		for _, c := range active {
 			if coflowDone(c) {
 				if !c.Completed {
 					c.Completed = true
 					c.Completion = now
 					completed[c.ID] = true
+					retired = true
 					cct, err := c.CCT()
 					if err != nil {
 						return nil, err
@@ -166,6 +168,21 @@ func (s *Simulator) Run(coflows []*coflow.Coflow) (*netsim.Report, error) {
 			live = append(live, c)
 		}
 		active = live
+		// A completion can release a dependency-gated coflow whose arrival
+		// has passed: admit it at this instant instead of leaving it to
+		// wait for the next unrelated event.
+		if retired && len(s.Deps) > 0 {
+			released := false
+			for _, c := range pending {
+				if c.Arrival <= now+1e-12 && depsDone(c) {
+					released = true
+					break
+				}
+			}
+			if released {
+				continue
+			}
+		}
 
 		if s.Horizon > 0 && now >= s.Horizon-1e-12 {
 			now = s.Horizon
